@@ -53,13 +53,6 @@ class SieveTables:
                 n //= p
         return primes
 
-    def squarefree_divisors(self, n: int) -> Iterator[tuple[int, int]]:
-        """Yield (e, mu(e)) over squarefree divisors e of n."""
-        primes = self.distinct_primes(n)
-        for r in range(len(primes) + 1):
-            for combo in combinations(primes, r):
-                yield prod(combo), (-1) ** r
-
 
 def build_sieve(bound: int) -> SieveTables:
     """Fill all tables up to `bound` with a linear (spf-driven) sieve."""

@@ -6,8 +6,8 @@ Three families:
 - Well-rounded classes (pairs (a, b), counted by b <= T, plus the square
   lattice class (0, 1))
 
-count_bruteforce enumerates; count_fast sums coprime range counts in O(T^3)
-and must agree with it everywhere both run. Main terms:
+count_bruteforce enumerates; count_fast is a sorted-sweep Mobius counter in
+O(T^2 log T) and must agree with it everywhere both run. Main terms:
   N1 ~ 39 T^4 / (8 pi^4),  N2 ~ 3 T^4 / (8 pi^4),  N3 ~ 3 T^2 / (2 pi^2).
 """
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence, Union
 
@@ -27,6 +26,14 @@ from .arith import SieveTables, build_sieve
 from .classes import TauQuadruple, WrPair
 
 BRUTEFORCE_LIMIT = 60
+
+# Largest T at which count_fast is exact for the quadruple sets. The keys
+# a^2/b^2 and queries c/d are correctly rounded quotients of integers below
+# 2^53, so equal rationals give equal floats; distinct ones in [0, 1/4] differ
+# by at least 1/(b^2 d) >= 1/T^3, more than the 2^-54 that rounding can merge
+# while T < 2^18, so their order survives too. The int64 prefix sums stay below
+# P*T(T+1)/8 with P <= (T+1)^2/4 pairs: about 3.1e18 < 2^63 at T = 10^5.
+MAX_FAST_HEIGHT = 100_000
 
 
 class ClassSetId(enum.Enum):
@@ -55,13 +62,22 @@ def c_lower(a: int, b: int, d: int) -> int:
     return -((-d * (bsq - a * a)) // bsq)
 
 
-def _coprime_pairs(T: int) -> Iterator[tuple[int, int]]:
-    """(a, b) with gcd(a,b)=1, 0 <= 2a <= b <= T, lexicographic by (b, a)."""
-    yield (0, 1)
-    for b in range(2, T + 1):
-        for a in range(1, b // 2 + 1):
-            if math.gcd(a, b) == 1:
-                yield (a, b)
+def _ramps(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n-1 for each n >= 1 in lengths, concatenated, as int32."""
+    steps = np.ones(int(lengths.sum()), dtype=np.int32)
+    steps[0] = 0
+    steps[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
+    return np.cumsum(steps, dtype=np.int32, out=steps)
+
+
+def _coprime_pairs(T: int) -> tuple[np.ndarray, np.ndarray]:
+    """int32 arrays a, b over gcd(a,b)=1, 0 <= 2a <= b <= T, ordered by (b, a)."""
+    rows = np.arange(1, T + 1, dtype=np.int32)
+    width = rows // 2 + 1
+    a = _ramps(width)
+    b = np.repeat(rows, width)
+    keep = np.gcd(a, b) == 1
+    return a[keep], b[keep]
 
 
 def enumerate_classes(set_id: ClassSetId, T: int
@@ -73,12 +89,14 @@ def enumerate_classes(set_id: ClassSetId, T: int
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    a_arr, b_arr = _coprime_pairs(T)
+    pairs = zip(a_arr.tolist(), b_arr.tolist())
     if set_id is ClassSetId.WELL_ROUNDED:
-        for a, b in _coprime_pairs(T):
+        for a, b in pairs:
             yield WrPair(a, b)
         return
     semistable = set_id is ClassSetId.SEMISTABLE
-    for a, b in _coprime_pairs(T):
+    for a, b in pairs:
         for d in range(1, T + 1):
             hi = d if semistable else T
             for c in range(c_lower(a, b, d), hi + 1):
@@ -93,72 +111,41 @@ def count_bruteforce(set_id: ClassSetId, T: int) -> int:
     return sum(1 for _ in enumerate_classes(set_id, T))
 
 
-def _pair_arrays(T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of a and b over all coprime pairs with 2a <= b <= T."""
-    a_list, b_list = zip(*_coprime_pairs(T))
-    return (np.asarray(a_list, dtype=np.int64),
-            np.asarray(b_list, dtype=np.int64))
+def _floor_sum_prefix(T: int) -> tuple[int, np.ndarray]:
+    """Number of pairs P and U[M] = sum over d <= M and pairs of floor(d a^2/b^2).
 
-
-def _count_quadruples_moebius(semistable: bool, T: int, tables: SieveTables,
-                              b_lo: int, b_hi: int) -> int:
-    """Partition of the fast counter over pairs with b in [b_lo, b_hi].
-
-    For each d, the inner sum over c in [lo, hi] coprime to d is evaluated by
-    Mobius inclusion-exclusion over the squarefree divisors of d.
+    floor(d a^2/b^2) counts the c >= 1 with c/d <= a^2/b^2 <= 1/4, so
+    U[M] - U[M-1] = sum over c <= M/4 of #{pairs with a^2/b^2 >= c/M}: one
+    searchsorted of all queries c/d against the sorted keys a^2/b^2.
     """
-    a_arr, b_arr = _pair_arrays(T)
-    mask = (b_arr >= b_lo) & (b_arr <= b_hi)
-    a_arr, b_arr = a_arr[mask], b_arr[mask]
-    if a_arr.size == 0:
-        return 0
-    bsq = b_arr * b_arr
-    k = bsq - a_arr * a_arr
-    total = 0
-    for d in range(1, T + 1):
-        lo_minus_1 = (d * k + bsq - 1) // bsq - 1
-        hi = d if semistable else T
-        for e, mu_e in tables.squarefree_divisors(d):
-            part = a_arr.size * (hi // e) - int((lo_minus_1 // e).sum())
-            total += mu_e * part
-    return total
+    a, b = _coprime_pairs(T)
+    keys = np.square(a, dtype=np.float64) / np.square(b, dtype=np.float64)
+    keys.sort()
+    f = np.zeros(T + 1, dtype=np.int64)
+    if T >= 4:
+        d = np.arange(4, T + 1, dtype=np.int32)
+        per_d = d // 4
+        queries = (_ramps(per_d) + 1) / np.repeat(d, per_d)
+        below = np.searchsorted(keys, queries, side="left")
+        first = np.cumsum(per_d, dtype=np.int64) - per_d
+        f[4:] = per_d.astype(np.int64) * keys.size - np.add.reduceat(below, first)
+    return keys.size, np.cumsum(f)
 
 
-def _count_quadruples_prefix(semistable: bool, T: int, tables: SieveTables,
-                             b_lo: int, b_hi: int) -> int:
-    """Prefix-table variant: per d, a cumulative count of c <= x coprime to d."""
-    a_arr, b_arr = _pair_arrays(T)
-    mask = (b_arr >= b_lo) & (b_arr <= b_hi)
-    a_arr, b_arr = a_arr[mask], b_arr[mask]
-    if a_arr.size == 0:
-        return 0
-    bsq = b_arr * b_arr
-    k = bsq - a_arr * a_arr
-    total = 0
-    for d in range(1, T + 1):
-        indicator = np.ones(T + 1, dtype=np.int64)
-        indicator[0] = 0
-        for p in tables.distinct_primes(d):
-            indicator[p::p] = 0
-        prefix = np.cumsum(indicator)
-        lo_minus_1 = (d * k + bsq - 1) // bsq - 1
-        hi = d if semistable else T
-        total += int(prefix[hi]) * a_arr.size - int(prefix[lo_minus_1].sum())
-    return total
+def count_fast(set_id: ClassSetId, T: int,
+               tables: SieveTables | None = None) -> int:
+    """Exact class count at height T without enumeration, in O(T^2 log T).
 
-
-def count_fast(set_id: ClassSetId, T: int, tables: SieveTables | None = None,
-               memory_mode: str = "moebius", parallelism: int = 1) -> int:
-    """Exact class count at height T without enumeration.
-
-    memory_mode selects the inner coprime counter: "moebius" (O(T) memory)
-    or "prefix_tables" (per-d prefix sums). Partitions over b are summed in a
-    fixed order, so parallel and serial runs return identical counts.
+    Mobius inversion over e = gcd(c, d) leaves, for each pair (a, b), the
+    (c, d) with d <= M = T // e and c in [d - floor(d a^2/b^2), H] with
+    H = M (all classes) or H = d (semi-stable). Summed over pairs this is
+    P*B(M) + U(M), with P pairs, B(M) = M(M+1)/2 or M, and U from
+    _floor_sum_prefix, so N(T) = sum over e of mu(e) * (P*B(M) + U(M)).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
+    if set_id is not ClassSetId.WELL_ROUNDED and T > MAX_FAST_HEIGHT:
+        raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
     if tables is None:
         tables = build_sieve(T)
     if T > tables.bound:
@@ -168,21 +155,16 @@ def count_fast(set_id: ClassSetId, T: int, tables: SieveTables | None = None,
         phi = tables.phi
         return 1 + sum((int(phi[b]) + 1) // 2 for b in range(2, T + 1))
 
-    if memory_mode == "moebius":
-        worker = _count_quadruples_moebius
-    elif memory_mode == "prefix_tables":
-        worker = _count_quadruples_prefix
-    else:
-        raise ValueError(f"unknown memory_mode {memory_mode!r}")
-
+    pairs, U = _floor_sum_prefix(T)
     semistable = set_id is ClassSetId.SEMISTABLE
-    if parallelism == 1:
-        return worker(semistable, T, tables, 1, T)
-    bounds = np.linspace(0, T, parallelism + 1, dtype=int)
-    chunks = [(int(lo) + 1, int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        parts = pool.map(lambda ch: worker(semistable, T, tables, *ch), chunks)
-        return sum(parts)
+    mu = tables.mu[:T + 1].tolist()
+    total = 0
+    for e in range(1, T + 1):
+        if mu[e]:
+            M = T // e
+            B = M if semistable else M * (M + 1) // 2
+            total += mu[e] * (pairs * B + int(U[M]))
+    return total
 
 
 def main_terms(T: int) -> tuple[float, float, float]:
@@ -195,16 +177,15 @@ def main_terms(T: int) -> tuple[float, float, float]:
             3 * T ** 2 / (2 * math.pi ** 2))
 
 
-def census_report(Ts: Sequence[int], tables: SieveTables | None = None,
-                  memory_mode: str = "moebius",
-                  parallelism: int = 1) -> list[CountReport]:
+def census_report(Ts: Sequence[int], tables: SieveTables | None = None
+                  ) -> list[CountReport]:
     """Exact counts with main-term comparisons for each requested T."""
     if tables is None:
         tables = build_sieve(max(Ts))
     reports = []
     for T in Ts:
-        n1 = count_fast(ClassSetId.ALL, T, tables, memory_mode, parallelism)
-        n2 = count_fast(ClassSetId.SEMISTABLE, T, tables, memory_mode, parallelism)
+        n1 = count_fast(ClassSetId.ALL, T, tables)
+        n2 = count_fast(ClassSetId.SEMISTABLE, T, tables)
         n3 = count_fast(ClassSetId.WELL_ROUNDED, T, tables)
         m1, m2, m3 = main_terms(T)
         reports.append(CountReport(

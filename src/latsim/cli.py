@@ -61,10 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", choices=SET_IDS, required=True)
     p.add_argument("--max-height", type=int, required=True, metavar="T")
     p.add_argument("--method", choices=("fast", "bruteforce"), default="fast")
-    p.add_argument("--memory-mode", choices=("moebius", "prefix_tables"),
-                   default="moebius")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="partitions of the b-loop to count in parallel")
     p.add_argument("--sieve-bound", type=int,
                    default=int(os.environ.get(SIEVE_BOUND_ENV, 0)) or None)
 
@@ -111,9 +107,7 @@ def _cmd_count(args) -> int:
               file=sys.stderr)
         return 2
     tables = arith.build_sieve(bound)
-    print(census.count_fast(set_id, args.max_height, tables,
-                            memory_mode=args.memory_mode,
-                            parallelism=args.jobs))
+    print(census.count_fast(set_id, args.max_height, tables))
     return 0
 
 
@@ -179,14 +173,7 @@ def _cmd_height(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite in ("euler", "modular"):
-        suite = verify.SUITES[args.suite]
-        ok = True
-        for name, passed, detail in suite(seed=args.seed):
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-            ok = ok and passed
-        return 0 if ok else 1
-    return 0 if verify.run_suite(args.suite) else 1
+    return 0 if verify.run_suite(args.suite, args.seed) else 1
 
 
 COMMANDS = {

@@ -6,10 +6,14 @@ Suites:
 - euler:        totient/divisor lemmas and the restricted power-sum constant
 - haar:         hyperbolic-volume quadrature against closed forms
 - modular:      j-invariant special values, symmetries, boundary realness
+- geometry:     parametrized classification vs exact geometric predicates
+- reduction_invariance: canonical tau recovered after random modular words
+- heights:      Weil-height bounds against their ceilings
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -309,21 +313,29 @@ def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check
     return checks
 
 
-SUITES: dict[str, Callable[[], list[Check]]] = {
+SUITES: dict[str, Callable[..., list[Check]]] = {
     "counts": verify_counts,
     "asymptotics": verify_asymptotics,
     "euler": verify_euler,
     "haar": verify_haar,
     "modular": verify_modular,
+    "geometry": verify_geometry,
+    "reduction_invariance": verify_reduction_invariance,
+    "heights": verify_heights,
 }
 
 
-def run_suite(name: str, printer=print) -> bool:
-    """Run one named suite, print a pass/fail line per check."""
+def run_suite(name: str, seed: int = DEFAULT_SEED, printer=print) -> bool:
+    """Run one named suite, print a pass/fail line per check.
+
+    The seed goes to every suite that takes one.
+    """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    suite = SUITES[name]
+    seeded = "seed" in inspect.signature(suite).parameters
     all_ok = True
-    for check_name, ok, detail in SUITES[name]():
+    for check_name, ok, detail in suite(seed=seed) if seeded else suite():
         printer(f"[{'PASS' if ok else 'FAIL'}] {check_name}: {detail}")
         all_ok = all_ok and ok
     return all_ok

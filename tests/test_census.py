@@ -1,7 +1,9 @@
 import io
 import math
-from math import gcd
+from itertools import combinations
+from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from latsim import arith, census, classes
@@ -23,6 +25,42 @@ def scan_quadruples(T: int, semistable: bool) -> set[TauQuadruple]:
                     if gcd(c, d) == 1 and c * b * b >= d * (b * b - a * a):
                         out.add(TauQuadruple(a, b, c, d))
     return out
+
+
+def moebius_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
+    """The Theta(T^3 log T) counter that count_fast replaced, kept as an oracle.
+
+    For each d, the coprime c in [c_lower, hi] are counted by Mobius
+    inclusion-exclusion over the squarefree divisors of d, for all pairs
+    at once.
+    """
+    pairs = [(a, b) for b in range(1, T + 1) for a in range(0, b // 2 + 1)
+             if gcd(a, b) == 1]
+    a_arr = np.array([a for a, _ in pairs], dtype=np.int64)
+    b_arr = np.array([b for _, b in pairs], dtype=np.int64)
+    bsq = b_arr * b_arr
+    k = bsq - a_arr * a_arr
+    total = 0
+    for d in range(1, T + 1):
+        lo_minus_1 = (d * k + bsq - 1) // bsq - 1
+        hi = d if semistable else T
+        primes = tables.distinct_primes(d)
+        for r in range(len(primes) + 1):
+            for combo in combinations(primes, r):
+                e = prod(combo)
+                part = a_arr.size * (hi // e) - int((lo_minus_1 // e).sum())
+                total += (-1) ** r * part
+    return total
+
+
+# Exact counts at which the two earlier kernels (Mobius and prefix tables)
+# agreed; the benchmark checks the same values.
+PINNED_COUNTS = {
+    (800, ClassSetId.ALL): 20542882284,
+    (800, ClassSetId.SEMISTABLE): 1579003660,
+    (1600, ClassSetId.ALL): 328049970981,
+    (1600, ClassSetId.SEMISTABLE): 25227058954,
+}
 
 
 class TestEnumerate:
@@ -74,22 +112,41 @@ class TestCounters:
             census.count_bruteforce(ClassSetId.ALL, 61)
 
     def test_fast_equals_bruteforce(self):
-        for T in range(1, 26):
+        for T in [*range(1, 26), 50, census.BRUTEFORCE_LIMIT]:
             for set_id in ClassSetId:
                 assert census.count_fast(set_id, T, TABLES) == \
                     census.count_bruteforce(set_id, T)
 
-    def test_memory_modes_agree(self):
-        for T in (17, 40):
-            for set_id in (ClassSetId.ALL, ClassSetId.SEMISTABLE):
-                assert census.count_fast(set_id, T, TABLES, "moebius") == \
-                    census.count_fast(set_id, T, TABLES, "prefix_tables")
+    def test_fast_equals_moebius_oracle(self):
+        for T in list(range(1, 101)) + [200, 400]:
+            for semistable, set_id in ((False, ClassSetId.ALL),
+                                       (True, ClassSetId.SEMISTABLE)):
+                assert census.count_fast(set_id, T, TABLES) == \
+                    moebius_oracle(semistable, T, TABLES), (T, set_id)
 
-    def test_parallel_runs_are_deterministic(self):
-        for jobs in (2, 3, 8):
-            assert census.count_fast(ClassSetId.ALL, 40, TABLES,
-                                     parallelism=jobs) == \
-                census.count_fast(ClassSetId.ALL, 40, TABLES)
+    def test_pinned_counts(self):
+        tables = arith.build_sieve(1600)
+        for (T, set_id), want in PINNED_COUNTS.items():
+            assert census.count_fast(set_id, T, tables) == want
+
+    def test_boundary_tie_is_counted(self):
+        # (1, 2, 3, 4) attains c*b^2 = d*(b^2 - a^2): the key a^2/b^2 = 1/4
+        # equals the query c/d = 1/4, and a tie counts as c <= d*a^2/b^2.
+        assert census.c_lower(1, 2, 4) == 3
+        for set_id in (ClassSetId.ALL, ClassSetId.SEMISTABLE):
+            assert TauQuadruple(1, 2, 3, 4) in \
+                set(census.enumerate_classes(set_id, 4))
+        pairs, U = census._floor_sum_prefix(4)
+        assert (pairs, U.tolist()) == (4, [0, 0, 0, 0, 1])
+
+    def test_exactness_range_enforced_before_sieve(self, monkeypatch):
+        def no_sieve(bound):
+            raise AssertionError(f"sieve of bound {bound} built")
+
+        monkeypatch.setattr(census, "build_sieve", no_sieve)
+        for set_id in (ClassSetId.ALL, ClassSetId.SEMISTABLE):
+            with pytest.raises(ValueError, match="exact only"):
+                census.count_fast(set_id, census.MAX_FAST_HEIGHT + 1)
 
     def test_sieve_bound_enforced(self):
         small = arith.build_sieve(10)
@@ -113,10 +170,10 @@ class TestCounters:
     def test_b_to_c_split(self):
         # |B(T)| = |C(T)| + sum over pairs and d of coprime c in (d, T]
         for T in (10, 25, 40):
-            extra = 0
-            for a, b in census._coprime_pairs(T):
-                for d in range(1, T + 1):
-                    extra += arith.coprime_count_range(d + 1, T, d, TABLES)
+            a_arr, _ = census._coprime_pairs(T)
+            extra = a_arr.size * sum(
+                arith.coprime_count_range(d + 1, T, d, TABLES)
+                for d in range(1, T + 1))
             assert census.count_fast(ClassSetId.ALL, T, TABLES) == \
                 census.count_fast(ClassSetId.SEMISTABLE, T, TABLES) + extra
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from latsim import verify
 from latsim.cli import main
 
 
@@ -20,14 +21,6 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--set", "wr", "--max-height", "10",
                            "--method", "bruteforce")
         assert code == 0 and out.strip() == "17"
-
-    def test_memory_mode_and_jobs(self, capsys):
-        code, out, _ = run(capsys, "count", "--set", "semistable",
-                           "--max-height", "20",
-                           "--memory-mode", "prefix_tables", "--jobs", "3")
-        code2, out2, _ = run(capsys, "count", "--set", "semistable",
-                             "--max-height", "20")
-        assert code == code2 == 0 and out == out2
 
     def test_env_sieve_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("LATSIM_SIEVE_BOUND", "50")
@@ -111,3 +104,25 @@ class TestVerify:
         _, out1, _ = run(capsys, "verify", "--suite", "haar")
         _, out2, _ = run(capsys, "verify", "--suite", "haar")
         assert out1 == out2
+
+    @pytest.mark.parametrize("suite", ["geometry", "reduction_invariance",
+                                       "heights"])
+    def test_acceptance_suites_pass(self, capsys, suite):
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines and all(line.startswith("[PASS]") for line in lines)
+
+    def test_seed_reaches_suite(self, capsys, monkeypatch):
+        seen = []
+
+        def fake_reduction_invariance(n_points=1000, max_word=10,
+                                      seed=verify.DEFAULT_SEED):
+            seen.append(seed)
+            return [("fake", True, "")]
+
+        monkeypatch.setitem(verify.SUITES, "reduction_invariance",
+                            fake_reduction_invariance)
+        code, _, _ = run(capsys, "verify", "--suite", "reduction_invariance",
+                         "--seed", "7")
+        assert code == 0 and seen == [7]
