@@ -9,9 +9,8 @@ from .census import (ClassSetId, CountReport, census_report, count_bruteforce,
                      write_census_csv)
 from .classes import (ClassKind, CoprimalityError, DomainError,
                       QuadrupleError, RangeError, TauQuadruple, WrPair,
-                      classify, max_height, validate_quadruple,
-                      weil_height_bound, wr_pair_to_quadruple,
-                      wr_weil_height_bound)
+                      classify, max_height, weil_height_bound,
+                      wr_pair_to_quadruple, wr_weil_height_bound)
 from .lattice import (CanonicalTau, GramForm, HalfPlanePoint, PlanarLattice,
                       UnimodularMatrix, canonical_tau, gauss_reduce, gram,
                       is_arithmetic, is_semistable, is_stable,

@@ -10,13 +10,15 @@ Provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from typing import Iterator, Sequence
 
 import numpy as np
+
+MAX_POWER_SUM_B = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -40,18 +42,6 @@ class SieveTables:
         for arr in (self.spf, self.mu, self.phi, self.omega,
                     self.divcount, self.phi_prefix):
             arr.setflags(write=False)
-
-    def distinct_primes(self, n: int) -> list[int]:
-        """Distinct prime factors of n, using the spf table."""
-        if not 1 <= n <= self.bound:
-            raise ValueError(f"n={n} outside sieve bound {self.bound}")
-        primes = []
-        while n > 1:
-            p = int(self.spf[n])
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        return primes
 
 
 def build_sieve(bound: int) -> SieveTables:
@@ -106,11 +96,22 @@ def build_sieve(bound: int) -> SieveTables:
                        divcount=divcount, phi_prefix=phi_prefix)
 
 
-def distinct_primes(n: int) -> list[int]:
-    """Distinct prime factors by trial division (table-free fallback)."""
+def distinct_primes(n: int, tables: SieveTables | None = None) -> list[int]:
+    """Distinct prime factors of n, increasing.
+
+    Walks the smallest-prime-factor table when `tables` covers n, and falls
+    back to trial division otherwise.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     primes = []
+    if tables is not None and n <= tables.bound:
+        while n > 1:
+            p = int(tables.spf[n])
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        return primes
     m = n
     p = 2
     while p * p <= m:
@@ -130,24 +131,14 @@ def _squarefree_divisors(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
             yield prod(combo), (-1) ** r
 
 
-def _multiples_in_open(lnum: int, lden: int, unum: int, uden: int, e: int) -> int:
-    """Count multiples of e in the open interval (lnum/lden, unum/uden).
-
-    Endpoints are nonnegative rationals. A multiple e*t lies inside iff
-    floor(L/e) < t < ceil(U/e) with exact endpoint exclusion.
-    """
-    lo_t = lnum // (lden * e)            # largest t with e*t <= L
-    hi_t = -((-unum) // (uden * e)) - 1  # largest t with e*t < U
-    return max(0, hi_t - lo_t)
-
-
 def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
-                   tables: "SieveTables | None" = None) -> int:
+                   tables: SieveTables | None = None) -> int:
     """Count integers k in the open interval (alpha*n, beta*n) coprime to n.
 
     Requires 0 <= alpha < beta <= 1. Open-interval semantics: integer
-    endpoints alpha*n, beta*n are excluded. Passing sieve tables skips the
-    trial-division factorization of n.
+    endpoints alpha*n, beta*n are excluded, so the count runs over the
+    closed range [floor(alpha*n) + 1, ceil(beta*n) - 1]. Passing sieve
+    tables skips the trial-division factorization of n.
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -155,13 +146,9 @@ def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
         raise ValueError("need 0 <= alpha < beta <= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    primes = tables.distinct_primes(n) if tables else distinct_primes(n)
-    lnum, lden = (alpha * n).numerator, (alpha * n).denominator
-    unum, uden = (beta * n).numerator, (beta * n).denominator
-    total = 0
-    for e, mu_e in _squarefree_divisors(primes):
-        total += mu_e * _multiples_in_open(lnum, lden, unum, uden, e)
-    return total
+    lo = alpha.numerator * n // alpha.denominator + 1
+    hi = -(-beta.numerator * n // beta.denominator) - 1
+    return coprime_count_range(lo, hi, n, tables)
 
 
 def phi_restricted_scan(alpha: Fraction, beta: Fraction, n: int) -> int:
@@ -172,12 +159,12 @@ def phi_restricted_scan(alpha: Fraction, beta: Fraction, n: int) -> int:
         raise ValueError("need 0 <= alpha < beta <= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(1 for k in range(0, n + 1)
-               if alpha * n < k < beta * n and gcd(k, n) == 1)
+    lo, hi = alpha * n, beta * n
+    return sum(1 for k in range(0, n + 1) if lo < k < hi and gcd(k, n) == 1)
 
 
 def coprime_count_range(lo: int, hi: int, n: int,
-                        tables: "SieveTables | None" = None) -> int:
+                        tables: SieveTables | None = None) -> int:
     """Count integers k in [lo, hi] with gcd(k, n) = 1.
 
     Empty ranges (hi = lo - 1) are allowed and return 0.
@@ -188,9 +175,8 @@ def coprime_count_range(lo: int, hi: int, n: int,
         raise ValueError("need lo <= hi + 1")
     if lo > hi:
         return 0
-    primes = tables.distinct_primes(n) if tables else distinct_primes(n)
     total = 0
-    for e, mu_e in _squarefree_divisors(primes):
+    for e, mu_e in _squarefree_divisors(distinct_primes(n, tables)):
         total += mu_e * (hi // e - (lo - 1) // e)
     return total
 
@@ -210,24 +196,31 @@ def restricted_power_sum(b: int, j: int) -> int:
 
 
 def power_sum_tables(bmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized restricted power sums S_j(b) for j = 0, 1, 2 and b = 2..bmax.
+    """Restricted power sums S_j(b) for j = 0, 1, 2 and b = 2..bmax.
 
-    Returns three int64 arrays indexed by b (indices 0, 1 unused). Values fit
-    in int64 for bmax up to ~1e5.
+    Mobius inversion over e = gcd(a, b) gives
+    S_j(b) = sum over e | b of mu(e) e^j F_j(floor(b / 2e)), with F_j(m) the
+    sum of t^j over 1 <= t <= m; each squarefree e adds to all its multiples
+    b = k e in one slice, F_j taken at floor(k / 2): O(bmax log bmax).
+    Returns three int64 arrays indexed by b (indices 0, 1 unused). Every
+    partial sum is below (bmax^3 / 24)(1 + ln bmax) < 2^63 for the allowed
+    bmax <= 10^6.
     """
     if bmax < 2:
         raise ValueError("bmax must be >= 2")
-    s0 = np.zeros(bmax + 1, dtype=np.int64)
-    s1 = np.zeros(bmax + 1, dtype=np.int64)
-    s2 = np.zeros(bmax + 1, dtype=np.int64)
-    for b in range(2, bmax + 1):
-        a = np.arange(1, b // 2 + 1, dtype=np.int64)
-        mask = np.gcd(a, b) == 1
-        ac = a[mask]
-        s0[b] = ac.size
-        s1[b] = int(ac.sum())
-        s2[b] = int((ac * ac).sum())
-    return s0, s1, s2
+    if bmax > MAX_POWER_SUM_B:
+        raise ValueError(f"int64 power sums are exact only for bmax <= "
+                         f"{MAX_POWER_SUM_B}")
+    mu = build_sieve(bmax).mu.tolist()
+    m = np.arange(bmax + 1, dtype=np.int64) // 2
+    f = (m, m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6)
+    sums = tuple(np.zeros(bmax + 1, dtype=np.int64) for _ in range(3))
+    for e in range(1, bmax // 2 + 1):
+        if mu[e]:
+            k = bmax // e + 1
+            for j, (s, fj) in enumerate(zip(sums, f)):
+                s[e::e] += mu[e] * e ** j * fj[1:k]
+    return sums
 
 
 def _check_T(T: int, tables: SieveTables) -> None:

@@ -155,16 +155,25 @@ def count_fast(set_id: ClassSetId, T: int,
         phi = tables.phi
         return 1 + sum((int(phi[b]) + 1) // 2 for b in range(2, T + 1))
 
+    n1, n2 = _quadruple_counts(T, tables)
+    return n2 if set_id is ClassSetId.SEMISTABLE else n1
+
+
+def _quadruple_counts(T: int, tables: SieveTables) -> tuple[int, int]:
+    """(N1(T), N2(T)) from one sweep: both sets share P and U (see count_fast).
+
+    The caller checks 1 <= T <= min(MAX_FAST_HEIGHT, tables.bound).
+    """
     pairs, U = _floor_sum_prefix(T)
-    semistable = set_id is ClassSetId.SEMISTABLE
     mu = tables.mu[:T + 1].tolist()
-    total = 0
+    n1 = n2 = 0
     for e in range(1, T + 1):
         if mu[e]:
             M = T // e
-            B = M if semistable else M * (M + 1) // 2
-            total += mu[e] * (pairs * B + int(U[M]))
-    return total
+            u = int(U[M])
+            n1 += mu[e] * (pairs * (M * (M + 1) // 2) + u)
+            n2 += mu[e] * (pairs * M + u)
+    return n1, n2
 
 
 def main_terms(T: int) -> tuple[float, float, float]:
@@ -180,13 +189,15 @@ def main_terms(T: int) -> tuple[float, float, float]:
 def census_report(Ts: Sequence[int], tables: SieveTables | None = None
                   ) -> list[CountReport]:
     """Exact counts with main-term comparisons for each requested T."""
+    if max(Ts) > MAX_FAST_HEIGHT:
+        raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
     if tables is None:
         tables = build_sieve(max(Ts))
     reports = []
     for T in Ts:
-        n1 = count_fast(ClassSetId.ALL, T, tables)
-        n2 = count_fast(ClassSetId.SEMISTABLE, T, tables)
+        # checks T >= 1 and the sieve bound for the quadruple sets too
         n3 = count_fast(ClassSetId.WELL_ROUNDED, T, tables)
+        n1, n2 = _quadruple_counts(T, tables)
         m1, m2, m3 = main_terms(T)
         reports.append(CountReport(
             T=T, n1=n1, n2=n2, n3=n3, main1=m1, main2=m2, main3=m3,

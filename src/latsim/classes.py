@@ -78,11 +78,6 @@ class WrPair:
             raise RangeError(f"invalid well-rounded pair ({a},{b})")
 
 
-def validate_quadruple(a: int, b: int, c: int, d: int) -> TauQuadruple:
-    """Construct a TauQuadruple, raising a specific error on each failure mode."""
-    return TauQuadruple(a, b, c, d)
-
-
 def classify(q: TauQuadruple) -> ClassKind:
     """Partition a valid quadruple into WR / semi-stable-not-WR / not semi-stable."""
     bsq = q.b * q.b

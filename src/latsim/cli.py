@@ -9,14 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import arith, census, classes, lattice, modular, verify
+from . import census, classes, lattice, modular, verify
 from .census import ClassSetId
-
-SIEVE_BOUND_ENV = "LATSIM_SIEVE_BOUND"
 
 SET_IDS = {"all": ClassSetId.ALL,
            "semistable": ClassSetId.SEMISTABLE,
@@ -33,7 +30,7 @@ def _parse_quadruple(text: str) -> classes.TauQuadruple:
         raise argparse.ArgumentTypeError("expected a,b,c,d")
     try:
         a, b, c, d = (int(p) for p in parts)
-        return classes.validate_quadruple(a, b, c, d)
+        return classes.TauQuadruple(a, b, c, d)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -61,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", choices=SET_IDS, required=True)
     p.add_argument("--max-height", type=int, required=True, metavar="T")
     p.add_argument("--method", choices=("fast", "bruteforce"), default="fast")
-    p.add_argument("--sieve-bound", type=int,
-                   default=int(os.environ.get(SIEVE_BOUND_ENV, 0)) or None)
 
     p = sub.add_parser("enumerate", help="stream classes of height <= T")
     p.add_argument("--set", choices=SET_IDS, required=True)
@@ -101,13 +96,7 @@ def _cmd_count(args) -> int:
     if args.method == "bruteforce":
         print(census.count_bruteforce(set_id, args.max_height))
         return 0
-    bound = args.sieve_bound or args.max_height
-    if bound < args.max_height:
-        print(f"sieve bound {bound} < requested height {args.max_height}",
-              file=sys.stderr)
-        return 2
-    tables = arith.build_sieve(bound)
-    print(census.count_fast(set_id, args.max_height, tables))
+    print(census.count_fast(set_id, args.max_height))
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .classes import TauQuadruple
 
@@ -69,7 +70,8 @@ def _nome(tau: complex) -> complex:
                    radius * sign * math.sin(math.pi * f))
 
 
-def _sigma_tables(terms: int) -> tuple[list[int], list[int]]:
+@lru_cache
+def _sigma_tables(terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sigma3 = [0] * (terms + 1)
     sigma5 = [0] * (terms + 1)
     for d in range(1, terms + 1):
@@ -77,7 +79,7 @@ def _sigma_tables(terms: int) -> tuple[list[int], list[int]]:
         for n in range(d, terms + 1, d):
             sigma3[n] += d3
             sigma5[n] += d5
-    return sigma3, sigma5
+    return tuple(sigma3), tuple(sigma5)
 
 
 def _geometric_tail(r: float, N: int, power: int) -> float:

@@ -13,6 +13,7 @@ Suites:
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import math
 import random
@@ -47,10 +48,11 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     checks.append(("count_fast == count_bruteforce", ok, detail))
 
     golden = [
-        ("B(1)", census.count_fast(ClassSetId.ALL, 1, tables), 1),
-        ("B(2)", census.count_fast(ClassSetId.ALL, 2, tables), 4),
-        ("C(2)", census.count_fast(ClassSetId.SEMISTABLE, 2, tables), 2),
-        ("A(10)", census.count_fast(ClassSetId.WELL_ROUNDED, 10, tables) - 1, 16),
+        ("N1(1)", census.count_fast(ClassSetId.ALL, 1, tables), 1),
+        ("N1(2)", census.count_fast(ClassSetId.ALL, 2, tables), 4),
+        ("N2(2)", census.count_fast(ClassSetId.SEMISTABLE, 2, tables), 2),
+        ("N3(10) - 1",
+         census.count_fast(ClassSetId.WELL_ROUNDED, 10, tables) - 1, 16),
         ("N3(10)", census.count_fast(ClassSetId.WELL_ROUNDED, 10, tables), 17),
     ]
     for name, got, want in golden:
@@ -112,10 +114,11 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
         for _ in range(pairs_per_n):
             den = rng.randint(2, 64)
             lo, hi = sorted(rng.sample(range(den + 1), 2))
-            alpha, beta = Fraction(lo, den), Fraction(hi, den)
-            got = arith.phi_restricted(alpha, beta, n, tables)
-            excess = abs(got - (beta - alpha) * phi_n) - two_om
-            worst_excess = max(worst_excess, float(excess))
+            got = arith.phi_restricted(Fraction(lo, den), Fraction(hi, den),
+                                       n, tables)
+            # |got - (hi - lo)/den * phi(n)| - 2^omega(n), scaled by den
+            excess = abs(got * den - (hi - lo) * phi_n) - two_om * den
+            worst_excess = max(worst_excess, excess / den)
             if excess > 0:
                 ok = False
     checks.append(("|phi_ab(n) - (b-a)phi(n)| <= 2^omega(n), n <= %d" % nmax,
@@ -213,7 +216,7 @@ def verify_modular(seed: int = DEFAULT_SEED, quadruple_height: int = 20
                    f"{report.min_interior_im:.3g}"))
 
     thetas = [math.pi / 3 + k * (math.pi / 6) / 99 for k in range(100)]
-    arc = [modular.j_normalized(cmath_exp_i(t)).value for t in thetas]
+    arc = [modular.j_normalized(cmath.exp(1j * t)).value for t in thetas]
     in_range = all(-1e-6 <= v.real <= 1 + 1e-6 and abs(v.imag) < 1e-8
                    for v in arc)
     # j rises from j(rho) = 0 at theta = pi/3 to its arc maximum j(i) = 1728
@@ -235,10 +238,6 @@ def verify_modular(seed: int = DEFAULT_SEED, quadruple_height: int = 20
                    f"{quadruple_height}", ok,
                    "exhaustive" if ok else f"mismatch at {bad}"))
     return checks
-
-
-def cmath_exp_i(theta: float) -> complex:
-    return complex(math.cos(theta), math.sin(theta))
 
 
 def verify_geometry(quadruple_height: int = 20) -> list[Check]:

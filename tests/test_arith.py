@@ -84,6 +84,19 @@ class TestPhiRestricted:
             assert arith.phi_restricted(a, b, n) == \
                 arith.phi_restricted_scan(a, b, n)
 
+    def test_tables_equal_scan_up_to_ten_thousand(self):
+        # integer endpoints alpha*n, beta*n must be excluded exactly
+        rng = random.Random(19)
+        ns = [1, 2, 9240, 9973, 10_000] + rng.sample(range(3, 10_001), 40)
+        for n in ns:
+            lo, hi = sorted(rng.sample(range(n + 1), 2))
+            den = rng.randint(2, 64)
+            dlo, dhi = sorted(rng.sample(range(den + 1), 2))
+            for a, b in ((Fraction(lo, n), Fraction(hi, n)),
+                         (Fraction(dlo, den), Fraction(dhi, den))):
+                assert arith.phi_restricted(a, b, n, TABLES) == \
+                    arith.phi_restricted_scan(a, b, n)
+
     def test_two_sided_totient_bound(self):
         # sampled version of the full-range acceptance check
         rng = random.Random(13)
@@ -96,6 +109,15 @@ class TestPhiRestricted:
                 a, b = Fraction(lo, den), Fraction(hi, den)
                 got = arith.phi_restricted(a, b, n, TABLES)
                 assert abs(got - (b - a) * phi_n) <= two_om
+
+
+class TestDistinctPrimes:
+    def test_table_walk_equals_trial_division(self):
+        small = arith.build_sieve(100)  # n > 100 takes the fallback
+        for n in range(1, 10_001):
+            want = arith.distinct_primes(n)
+            assert arith.distinct_primes(n, TABLES) == want
+            assert arith.distinct_primes(n, small) == want
 
 
 class TestCoprimeCountRange:
@@ -130,6 +152,18 @@ class TestRestrictedPowerSum:
             assert arith.restricted_power_sum(b, 0) == int(s0[b])
             assert arith.restricted_power_sum(b, 1) == int(s1[b])
             assert arith.restricted_power_sum(b, 2) == int(s2[b])
+
+    def test_sieve_tables_equal_direct_scan(self):
+        s0, s1, s2 = arith.power_sum_tables(5000)
+        rng = random.Random(23)
+        for b in list(range(2, 301)) + rng.sample(range(301, 5001), 200):
+            assert arith.restricted_power_sum(b, 0) == int(s0[b])
+            assert arith.restricted_power_sum(b, 1) == int(s1[b])
+            assert arith.restricted_power_sum(b, 2) == int(s2[b])
+
+    def test_rejects_bmax_beyond_int64_range(self):
+        with pytest.raises(ValueError):
+            arith.power_sum_tables(arith.MAX_POWER_SUM_B + 1)
 
     def test_main_term_deviation_is_bounded(self):
         # |S_j(b) - phi(b) b^j / ((j+1) 2^(j+1))| / (2^omega(b) b^j / 2^j)

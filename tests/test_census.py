@@ -44,7 +44,7 @@ def moebius_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
     for d in range(1, T + 1):
         lo_minus_1 = (d * k + bsq - 1) // bsq - 1
         hi = d if semistable else T
-        primes = tables.distinct_primes(d)
+        primes = arith.distinct_primes(d, tables)
         for r in range(len(primes) + 1):
             for combo in combinations(primes, r):
                 e = prod(combo)
@@ -147,6 +147,8 @@ class TestCounters:
         for set_id in (ClassSetId.ALL, ClassSetId.SEMISTABLE):
             with pytest.raises(ValueError, match="exact only"):
                 census.count_fast(set_id, census.MAX_FAST_HEIGHT + 1)
+        with pytest.raises(ValueError, match="exact only"):
+            census.census_report([census.MAX_FAST_HEIGHT + 1])
 
     def test_sieve_bound_enforced(self):
         small = arith.build_sieve(10)
@@ -168,7 +170,7 @@ class TestCounters:
             prev = (n1, n2, n3)
 
     def test_b_to_c_split(self):
-        # |B(T)| = |C(T)| + sum over pairs and d of coprime c in (d, T]
+        # N1(T) = N2(T) + sum over pairs and d of coprime c in (d, T]
         for T in (10, 25, 40):
             a_arr, _ = census._coprime_pairs(T)
             extra = a_arr.size * sum(
@@ -198,6 +200,21 @@ class TestMainTermsAndReport:
         r1, r2 = census.census_report([1, 2], TABLES)
         assert (r1.n1, r1.n2, r1.n3) == (1, 1, 1)
         assert (r2.n1, r2.n2, r2.n3) == (4, 2, 2)
+
+    def test_report_sweeps_once_per_T(self, monkeypatch):
+        sweeps = []
+        sweep = census._floor_sum_prefix
+
+        def counted(T):
+            sweeps.append(T)
+            return sweep(T)
+
+        monkeypatch.setattr(census, "_floor_sum_prefix", counted)
+        reports = census.census_report([37, 200], TABLES)
+        assert sweeps == [37, 200]
+        for r in reports:
+            assert r.n1 == census.count_fast(ClassSetId.ALL, r.T, TABLES)
+            assert r.n2 == census.count_fast(ClassSetId.SEMISTABLE, r.T, TABLES)
 
     def test_deviation_shrinks_over_wide_span(self):
         # magnitudes oscillate locally; compare well-separated heights

@@ -10,32 +10,32 @@ from latsim.classes import (ClassKind, CoprimalityError, DomainError,
 
 class TestValidation:
     def test_square_class(self):
-        q = classes.validate_quadruple(0, 1, 1, 1)
+        q = TauQuadruple(0, 1, 1, 1)
         assert q.tau.re == 0 and q.tau.im_sq == 1
 
     def test_domain_failure(self):
         with pytest.raises(DomainError):
-            classes.validate_quadruple(1, 2, 1, 2)  # 1/2 < 3/4
+            TauQuadruple(1, 2, 1, 2)  # 1/2 < 3/4
 
     def test_coprimality_failure(self):
         with pytest.raises(CoprimalityError):
-            classes.validate_quadruple(2, 4, 1, 1)
+            TauQuadruple(2, 4, 1, 1)
         with pytest.raises(CoprimalityError):
-            classes.validate_quadruple(0, 1, 2, 4)
+            TauQuadruple(0, 1, 2, 4)
 
     def test_range_failure(self):
         with pytest.raises(RangeError):
-            classes.validate_quadruple(3, 4, 1, 1)  # 2a > b
+            TauQuadruple(3, 4, 1, 1)  # 2a > b
         with pytest.raises(RangeError):
-            classes.validate_quadruple(0, 1, 0, 1)
+            TauQuadruple(0, 1, 0, 1)
 
     def test_a_zero_forces_b_one(self):
         with pytest.raises(CoprimalityError):
-            classes.validate_quadruple(0, 2, 1, 1)
+            TauQuadruple(0, 2, 1, 1)
 
     def test_tau_lies_in_fundamental_domain(self):
         # boundary case: equality c*b^2 = d*(b^2 - a^2), |tau| = 1
-        q = classes.validate_quadruple(1, 2, 3, 4)
+        q = TauQuadruple(1, 2, 3, 4)
         assert q.tau.re ** 2 + q.tau.im_sq == 1
 
 

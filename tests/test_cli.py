@@ -22,11 +22,6 @@ class TestCount:
                            "--method", "bruteforce")
         assert code == 0 and out.strip() == "17"
 
-    def test_env_sieve_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("LATSIM_SIEVE_BOUND", "50")
-        code, out, _ = run(capsys, "count", "--set", "all", "--max-height", "2")
-        assert code == 0 and out.strip() == "4"
-
 
 class TestEnumerate:
     def test_jsonl_roundtrip_through_classify(self, capsys):
