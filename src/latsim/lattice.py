@@ -80,9 +80,6 @@ class HalfPlanePoint:
     def im(self) -> float:
         return math.sqrt(self.im_sq)
 
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
 
 class CanonicalTau(HalfPlanePoint):
     """The unique representative of a similarity class: 0 <= re <= 1/2 and

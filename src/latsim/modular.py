@@ -143,13 +143,12 @@ def tau_of_quadruple(q: TauQuadruple) -> complex:
     return complex(q.a / q.b, math.sqrt(q.c / q.d))
 
 
-def boundary_realness_report(samples: int = 100, terms: int = 30,
-                             ray_top: float = 3.0) -> BoundaryRealnessReport:
+def boundary_realness_report(samples: int = 100) -> BoundaryRealnessReport:
     """Sample j along the three boundary components of the class space.
 
     Components: the unit arc theta in [pi/3, pi/2], the imaginary ray
-    re = 0 with im >= 1, and the ray re = 1/2 with im >= sqrt(3)/2. Interior
-    control points confirm that Im j is NOT small off the boundary.
+    re = 0 with 1 <= im <= 3, and the ray re = 1/2 with sqrt(3)/2 <= im <= 3.
+    Interior control points confirm that Im j is NOT small off the boundary.
     """
     if samples < 10:
         raise ValueError("samples must be >= 10")
@@ -158,22 +157,22 @@ def boundary_realness_report(samples: int = 100, terms: int = 30,
         t = k / (samples - 1)
         theta = math.pi / 3 + t * math.pi / 6
         points.append(cmath.exp(1j * theta))
-        points.append(complex(0.0, 1.0 + t * (ray_top - 1.0)))
+        points.append(complex(0.0, 1.0 + t * 2.0))
         im0 = math.sqrt(3) / 2
-        points.append(complex(0.5, im0 + t * (ray_top - im0)))
-    max_boundary = max(abs(j_invariant(p, terms).value.imag) for p in points)
+        points.append(complex(0.5, im0 + t * (3.0 - im0)))
+    max_boundary = max(abs(j_invariant(p, 30).value.imag) for p in points)
 
     interior = [complex(0.25, 1.1), complex(0.1, 1.3), complex(0.4, 1.05),
                 complex(0.3, 2.0), complex(0.15, 1.02)]
-    min_interior = min(abs(j_invariant(p, terms).value.imag) for p in interior)
+    min_interior = min(abs(j_invariant(p, 30).value.imag) for p in interior)
     return BoundaryRealnessReport(max_boundary_im=max_boundary,
                                   min_interior_im=min_interior)
 
 
-def classify_by_j(q: TauQuadruple, terms: int = 30, tol: float = 1e-6) -> bool:
+def classify_by_j(q: TauQuadruple) -> bool:
     """Well-roundedness verdict read off the j-invariant alone.
 
     True iff j(tau)/1728 is numerically real with real part in [0, 1].
     """
-    jn = j_normalized(tau_of_quadruple(q), terms).value
-    return abs(jn.imag) < tol and -tol <= jn.real <= 1.0 + tol
+    jn = j_normalized(tau_of_quadruple(q), 30).value
+    return abs(jn.imag) < 1e-6 and -1e-6 <= jn.real <= 1.0 + 1e-6

@@ -63,6 +63,13 @@ def test_criterion_5_euler_function_lemmas():
                   "power-sum constant <= 4", checks)
 
 
+def test_euler_suite_below_the_phi_sum_heights():
+    # the last check reads phi_sum at T = 10^4 even for small nmax and bmax
+    checks = verify.verify_euler(nmax=300, bmax=300, pairs_per_n=2)
+    assert len(checks) == 4
+    assert all(passed for _, passed, _ in checks), checks
+
+
 def test_criterion_6_haar_quadrature():
     assert_checks("6. Haar volumes match pi/6 and 0.04507034144",
                   verify.verify_haar())

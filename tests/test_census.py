@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd, prod
 
@@ -234,6 +237,28 @@ class TestMainTermsAndReport:
 class TestHaar:
     def test_volumes(self):
         vol_f, vol_ss, fraction = census.haar_volumes()
-        assert vol_f == pytest.approx(math.pi / 6, abs=1e-10)
-        assert vol_ss == pytest.approx(math.pi / 6 - 0.5, abs=1e-10)
+        assert vol_f == pytest.approx(math.pi / 6, abs=1e-13)
+        assert vol_ss == pytest.approx(math.pi / 6 - 0.5, abs=1e-13)
+        assert fraction == pytest.approx(1 - 3 / math.pi, abs=1e-13)
         assert fraction == pytest.approx(0.04507034144, abs=1e-9)
+
+    def test_disagreeing_rules_raise(self, monkeypatch):
+        leggauss = census.leggauss
+
+        def skewed(n):
+            t, w = leggauss(n)
+            return t, w * (1.0 + 1e-9 * (n == 40))
+
+        monkeypatch.setattr(census, "leggauss", skewed)
+        with pytest.raises(ArithmeticError):
+            census.haar_volumes()
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(census.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, latsim, latsim.cli, latsim.verify; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
