@@ -140,14 +140,19 @@ def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
     closed range [floor(alpha*n) + 1, ceil(beta*n) - 1]. Passing sieve
     tables skips the trial-division factorization of n.
     """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if not (0 <= alpha < beta <= 1):
+    if not isinstance(alpha, (int, Fraction)):
+        alpha = Fraction(alpha)
+    if not isinstance(beta, (int, Fraction)):
+        beta = Fraction(beta)
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    # 0 <= an/ad < bn/bd <= 1 with positive denominators
+    if not (0 <= an and an * bd < bn * ad and bn <= bd):
         raise ValueError("need 0 <= alpha < beta <= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo = alpha.numerator * n // alpha.denominator + 1
-    hi = -(-beta.numerator * n // beta.denominator) - 1
+    lo = an * n // ad + 1
+    hi = -(-bn * n // bd) - 1
     return coprime_count_range(lo, hi, n, tables)
 
 
@@ -234,22 +239,3 @@ def phi_sum(tables: SieveTables, T: int) -> int:
     """Exact sum of phi(n) for n <= T."""
     _check_T(T, tables)
     return int(tables.phi_prefix[T])
-
-
-def phi_over_n_sum(tables: SieveTables, T: int) -> Fraction:
-    """Exact sum of phi(n)/n for n <= T as a fraction."""
-    _check_T(T, tables)
-    return sum(Fraction(int(tables.phi[n]), n) for n in range(1, T + 1))
-
-
-def divisor_sum(tables: SieveTables, T: int) -> int:
-    """Exact sum of d(n) for n <= T."""
-    _check_T(T, tables)
-    return int(tables.divcount[1:T + 1].sum(dtype=np.int64))
-
-
-def two_omega_sum(tables: SieveTables, T: int) -> int:
-    """Exact sum of 2**omega(n) for n <= T."""
-    _check_T(T, tables)
-    om = tables.omega[1:T + 1].astype(np.int64)
-    return int((np.int64(1) << om).sum(dtype=np.int64))

@@ -1,9 +1,12 @@
 """Exact planar lattice geometry over the rationals.
 
-Bases and Gram forms carry Fraction entries; reduction, successive minima,
-the canonical fundamental-domain representative, and the geometric predicates
-(well-rounded, semi-stable, stable, arithmetic) never take a square root:
-everything is decided on squared quantities.
+Bases, Gram forms and half-plane points carry Fraction entries, but every
+decision runs on integers. A Gram form is scaled to its primitive integer
+form (A, B, C) and Lagrange-reduced once; the reduction is cached on the
+form. Successive minima, the canonical fundamental-domain representative and
+the predicates (well-rounded, semi-stable, stable) are read off the reduced
+integer form, and constructors validate by integer cross-multiplication.
+Nothing takes a square root: everything is decided on squared quantities.
 """
 
 from __future__ import annotations
@@ -11,13 +14,64 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 Vec = tuple[Fraction, Fraction]
 
 
+def _frac(x) -> Fraction:
+    """x as a Fraction; one that already is one is not re-wrapped."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _frac_pair(v) -> Vec:
-    return (Fraction(v[0]), Fraction(v[1]))
+    return (_frac(v[0]), _frac(v[1]))
+
+
+class _Reduction(NamedTuple):
+    """Lagrange-reduced primitive integer form a x^2 + 2b xy + c y^2 with
+    0 <= 2b <= a <= c, the change of basis u that reaches it (as in
+    reduce_gram), and the factor num/den that scales it to the rational form.
+    """
+
+    a: int
+    b: int
+    c: int
+    u: tuple[int, int, int, int]
+    num: int
+    den: int
+
+
+def _lagrange(a: int, b: int, c: int):
+    """Lagrange-reduce the positive definite integer form (a, b, c).
+
+    Returns (a, b, c, u) with 0 <= 2b <= a <= c and u as in reduce_gram.
+    Each step subtracts m = round(b/a) times the first basis vector from the
+    second, ties rounded toward zero.
+    """
+    u11, u21, u12, u22 = 1, 0, 0, 1
+    while True:
+        if a > c:
+            a, c = c, a
+            u11, u21, u12, u22 = u12, u22, u11, u21
+        if b >= 0:
+            # floor((2b + a - 1) / 2a) rounds .5 down
+            m = (2 * b + a - 1) // (2 * a)
+        else:
+            m = -((a - 2 * b - 1) // (2 * a))
+        if m:
+            # v2 -= m*v1
+            c += m * (m * a - 2 * b)
+            b -= m * a
+            u12 -= m * u11
+            u22 -= m * u21
+        if a <= c and 2 * abs(b) <= a:
+            break
+    if b < 0:
+        b = -b
+        u12, u22 = -u12, -u22
+    return a, b, c, (u11, u21, u12, u22)
 
 
 @dataclass(frozen=True)
@@ -47,11 +101,29 @@ class GramForm:
     g22: Fraction
 
     def __init__(self, g11, g12, g22):
-        object.__setattr__(self, "g11", Fraction(g11))
-        object.__setattr__(self, "g12", Fraction(g12))
-        object.__setattr__(self, "g22", Fraction(g22))
-        if not (self.g11 > 0 and self.g22 > 0 and self.det > 0):
+        g11, g12, g22 = _frac(g11), _frac(g12), _frac(g22)
+        object.__setattr__(self, "g11", g11)
+        object.__setattr__(self, "g12", g12)
+        object.__setattr__(self, "g22", g22)
+        n11, d11 = g11.numerator, g11.denominator
+        n12, d12 = g12.numerator, g12.denominator
+        n22, d22 = g22.numerator, g22.denominator
+        # det > 0 times the positive d11 d22 d12^2
+        if not (n11 > 0 and n22 > 0
+                and n11 * n22 * d12 * d12 > n12 * n12 * d11 * d22):
             raise ValueError("Gram form is not positive definite")
+
+    @cached_property
+    def _reduction(self) -> _Reduction:
+        """The form reduced once: L*(g11, g12, g22)/g is primitive for L the
+        lcm of the denominators and g the gcd of the scaled entries."""
+        g11, g12, g22 = self.g11, self.g12, self.g22
+        den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
+        a = g11.numerator * (den // g11.denominator)
+        b = g12.numerator * (den // g12.denominator)
+        c = g22.numerator * (den // g22.denominator)
+        num = math.gcd(a, b, c)
+        return _Reduction(*_lagrange(a // num, b // num, c // num), num, den)
 
     @property
     def det(self) -> Fraction:
@@ -71,9 +143,9 @@ class HalfPlanePoint:
     im_sq: Fraction
 
     def __init__(self, re, im_sq):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im_sq", Fraction(im_sq))
-        if self.im_sq <= 0:
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im_sq", _frac(im_sq))
+        if self.im_sq.numerator <= 0:
             raise ValueError("point must lie in the open upper half-plane")
 
     @property
@@ -87,9 +159,12 @@ class CanonicalTau(HalfPlanePoint):
 
     def __init__(self, re, im_sq):
         super().__init__(re, im_sq)
-        if not (0 <= self.re <= Fraction(1, 2)):
+        p, q = self.re.numerator, self.re.denominator
+        r, s = self.im_sq.numerator, self.im_sq.denominator
+        if not (0 <= p and 2 * p <= q):
             raise ValueError("re outside [0, 1/2]")
-        if self.re * self.re + self.im_sq < 1:
+        # re^2 + im_sq >= 1 times q^2 s
+        if p * p * s + r * q * q < q * q * s:
             raise ValueError("|tau| < 1: outside the fundamental domain")
 
 
@@ -139,15 +214,6 @@ def gram(lattice: PlanarLattice) -> GramForm:
     )
 
 
-def _round_ties_to_zero(q: Fraction) -> int:
-    """Nearest integer to q, ties broken toward zero."""
-    n, d = q.numerator, q.denominator
-    if n >= 0:
-        # floor((2n + d - 1) / 2d) rounds .5 down
-        return (2 * n + d - 1) // (2 * d)
-    return -((-2 * n + d - 1) // (2 * d))
-
-
 def reduce_gram(form: GramForm) -> tuple[GramForm, tuple[int, int, int, int]]:
     """Lagrange-reduce a positive definite form.
 
@@ -156,25 +222,8 @@ def reduce_gram(form: GramForm) -> tuple[GramForm, tuple[int, int, int, int]]:
     det +-1) such that the new basis vectors are integer combinations
     w1 = u11*v1 + u21*v2, w2 = u12*v1 + u22*v2 of the old ones.
     """
-    g11, g12, g22 = form.g11, form.g12, form.g22
-    u11, u21, u12, u22 = 1, 0, 0, 1
-    while True:
-        if g11 > g22:
-            g11, g22 = g22, g11
-            u11, u21, u12, u22 = u12, u22, u11, u21
-        m = _round_ties_to_zero(g12 / g11)
-        if m != 0:
-            # v2 -= m*v1
-            g22 = g22 - 2 * m * g12 + m * m * g11
-            g12 = g12 - m * g11
-            u12 -= m * u11
-            u22 -= m * u21
-        if g11 <= g22 and 2 * abs(g12) <= g11:
-            break
-    if g12 < 0:
-        g12 = -g12
-        u12, u22 = -u12, -u22
-    return GramForm(g11, g12, g22), (u11, u21, u12, u22)
+    r = form._reduction
+    return GramForm(*(Fraction(x * r.num, r.den) for x in r[:3])), r.u
 
 
 def gauss_reduce(lattice: PlanarLattice) -> tuple[PlanarLattice, Fraction, Fraction]:
@@ -183,11 +232,12 @@ def gauss_reduce(lattice: PlanarLattice) -> tuple[PlanarLattice, Fraction, Fract
     The returned basis (x, y) satisfies |x|^2 = lambda1^2, |y|^2 = lambda2^2,
     and 0 <= <x, y> <= |x|^2 / 2 (angle in [pi/3, pi/2]).
     """
-    reduced, (u11, u21, u12, u22) = reduce_gram(gram(lattice))
+    form = gram(lattice)
+    u11, u21, u12, u22 = form._reduction.u
     v1, v2 = lattice.v1, lattice.v2
     w1 = (u11 * v1[0] + u21 * v2[0], u11 * v1[1] + u21 * v2[1])
     w2 = (u12 * v1[0] + u22 * v2[0], u12 * v1[1] + u22 * v2[1])
-    return PlanarLattice(w1, w2), reduced.g11, reduced.g22
+    return PlanarLattice(w1, w2), *successive_minima_sq(form)
 
 
 GramLike = Union[PlanarLattice, GramForm]
@@ -205,41 +255,41 @@ def canonical_tau(obj: GramLike) -> CanonicalTau:
     With a minimal basis (x, y): re = |<x,y>| / |x|^2 and
     im_sq = (|x|^2 |y|^2 - <x,y>^2) / |x|^4, both exact rationals.
     """
-    reduced, _ = reduce_gram(_as_gram(obj))
-    re = reduced.g12 / reduced.g11
-    im_sq = reduced.det / (reduced.g11 * reduced.g11)
-    return CanonicalTau(re, im_sq)
+    a, b, c = _as_gram(obj)._reduction[:3]
+    return CanonicalTau(Fraction(b, a), Fraction(a * c - b * b, a * a))
 
 
 def tau_gram(point: HalfPlanePoint) -> GramForm:
     """Gram form of the lattice spanned by (1, 0) and (re, im)."""
-    return GramForm(1, point.re, point.re * point.re + point.im_sq)
+    p, q = point.re.numerator, point.re.denominator
+    r, s = point.im_sq.numerator, point.im_sq.denominator
+    return GramForm(1, point.re, Fraction(p * p * s + r * q * q, q * q * s))
 
 
 def successive_minima_sq(obj: GramLike) -> tuple[Fraction, Fraction]:
     """Exact (lambda1^2, lambda2^2)."""
-    reduced, _ = reduce_gram(_as_gram(obj))
-    return reduced.g11, reduced.g22
+    r = _as_gram(obj)._reduction
+    return Fraction(r.a * r.num, r.den), Fraction(r.c * r.num, r.den)
 
 
 def is_well_rounded(obj: GramLike) -> bool:
-    """lambda1 = lambda2, decided on exact squared minima."""
-    l1, l2 = successive_minima_sq(obj)
-    return l1 == l2
+    """lambda1 = lambda2, decided on the reduced integer form."""
+    r = _as_gram(obj)._reduction
+    return r.a == r.c
 
 
 def is_semistable(obj: GramLike) -> bool:
-    """lambda1 >= det^(1/2), i.e. lambda1^4 >= det(Gram)."""
-    form = _as_gram(obj)
-    l1, _ = successive_minima_sq(form)
-    return l1 * l1 >= form.det
+    """lambda1 >= det^(1/2), i.e. lambda1^4 >= det(Gram): A^2 >= AC - B^2
+    on the reduced integer form, which has the same determinant up to the
+    square of the scale."""
+    a, b, c = _as_gram(obj)._reduction[:3]
+    return a * a >= a * c - b * b
 
 
 def is_stable(obj: GramLike) -> bool:
     """Strict variant of is_semistable."""
-    form = _as_gram(obj)
-    l1, _ = successive_minima_sq(form)
-    return l1 * l1 > form.det
+    a, b, c = _as_gram(obj)._reduction[:3]
+    return a * a > a * c - b * b
 
 
 def is_arithmetic(obj: Union[GramLike, HalfPlanePoint]) -> bool:
@@ -260,9 +310,14 @@ def modular_act(g: UnimodularMatrix, tau: HalfPlanePoint) -> HalfPlanePoint:
     """Fractional linear action tau -> (a*tau + b) / (c*tau + d), exact.
 
     Im g(tau) = Im tau / |c*tau + d|^2, and |c*tau + d|^2 is rational when
-    re and im_sq are, so the result is exact.
+    re and im_sq are, so the result is exact. With re = p/q, im_sq = r/s and
+    N = q^2 s |c*tau + d|^2 = (cp + dq)^2 s + c^2 r q^2, the result has
+    re = ((ap + bq)(cp + dq) s + ac r q^2) / N and im_sq = r s q^4 / N^2.
     """
-    x, ysq = tau.re, tau.im_sq
-    den = (g.c * x + g.d) ** 2 + g.c * g.c * ysq
-    re = ((g.a * x + g.b) * (g.c * x + g.d) + g.a * g.c * ysq) / den
-    return HalfPlanePoint(re, ysq / (den * den))
+    p, q = tau.re.numerator, tau.re.denominator
+    r, s = tau.im_sq.numerator, tau.im_sq.denominator
+    x = g.c * p + g.d * q
+    q2 = q * q
+    n = x * x * s + g.c * g.c * r * q2
+    re = Fraction((g.a * p + g.b * q) * x * s + g.a * g.c * r * q2, n)
+    return HalfPlanePoint(re, Fraction(r * s * q2 * q2, n * n))

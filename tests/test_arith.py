@@ -74,6 +74,23 @@ class TestPhiRestricted:
         with pytest.raises(ValueError):
             arith.phi_restricted(0, Fraction(5, 4), 5)
 
+    def test_validation_matches_fraction_order(self):
+        # the integer cross-multiplication accepts exactly 0 <= a < b <= 1
+        grid = [Fraction(k, 6) for k in range(-2, 9)] + [0, 1, Fraction(2, 4)]
+        for a in grid:
+            for b in grid:
+                if 0 <= a < b <= 1:
+                    assert arith.phi_restricted(a, b, 12) == \
+                        arith.phi_restricted_scan(a, b, 12)
+                else:
+                    with pytest.raises(ValueError):
+                        arith.phi_restricted(a, b, 12)
+
+    def test_accepts_what_fraction_accepts(self):
+        want = arith.phi_restricted(Fraction(1, 4), Fraction(3, 4), 60)
+        assert arith.phi_restricted("1/4", 0.75, 60) == want
+        assert arith.phi_restricted(0, 1, 60) == 16
+
     def test_moebius_equals_scan(self):
         rng = random.Random(11)
         for _ in range(500):
@@ -183,18 +200,6 @@ class TestSums:
     def test_phi_sum(self):
         assert arith.phi_sum(TABLES, 10) == 32
         assert arith.phi_sum(TABLES, 1) == 1
-
-    def test_divisor_sum(self):
-        assert arith.divisor_sum(TABLES, 6) == 14
-
-    def test_two_omega_below_divisor_sum(self):
-        for T in (10, 100, 1000):
-            assert arith.two_omega_sum(TABLES, T) <= arith.divisor_sum(TABLES, T)
-
-    def test_phi_over_n_sum_exact(self):
-        got = arith.phi_over_n_sum(TABLES, 6)
-        want = sum(Fraction(int(TABLES.phi[n]), n) for n in range(1, 7))
-        assert got == want
 
     def test_rejects_T_beyond_bound(self):
         small = arith.build_sieve(5)

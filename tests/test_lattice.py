@@ -22,6 +22,79 @@ def brute_force_minima_sq(form: GramForm, box: int = 20):
     return l1_sq, l2_sq
 
 
+def fraction_reduce_gram(form: GramForm):
+    """Independent oracle: Lagrange reduction on the Fraction entries, with
+    the same tie rule (ties toward zero) and the same return shape as
+    lattice.reduce_gram."""
+    def round_ties_to_zero(q: Fraction) -> int:
+        n, d = q.numerator, q.denominator
+        if n >= 0:
+            return (2 * n + d - 1) // (2 * d)
+        return -((-2 * n + d - 1) // (2 * d))
+
+    g11, g12, g22 = form.g11, form.g12, form.g22
+    u11, u21, u12, u22 = 1, 0, 0, 1
+    while True:
+        if g11 > g22:
+            g11, g22 = g22, g11
+            u11, u21, u12, u22 = u12, u22, u11, u21
+        m = round_ties_to_zero(g12 / g11)
+        if m != 0:
+            g22 = g22 - 2 * m * g12 + m * m * g11
+            g12 = g12 - m * g11
+            u12 -= m * u11
+            u22 -= m * u21
+        if g11 <= g22 and 2 * abs(g12) <= g11:
+            break
+    if g12 < 0:
+        g12 = -g12
+        u12, u22 = -u12, -u22
+    return GramForm(g11, g12, g22), (u11, u21, u12, u22)
+
+
+def fraction_modular_act(g: UnimodularMatrix, tau: HalfPlanePoint):
+    """Independent oracle: the fractional linear action in Fractions."""
+    x, ysq = tau.re, tau.im_sq
+    den = (g.c * x + g.d) ** 2 + g.c * g.c * ysq
+    re = ((g.a * x + g.b) * (g.c * x + g.d) + g.a * g.c * ysq) / den
+    return re, ysq / (den * den)
+
+
+def random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
+    """A rational with numerator in [lo, hi] and a denominator of up to six
+    digits."""
+    return Fraction(rng.randint(lo, hi), rng.randint(1, 10 ** rng.randint(0, 6)))
+
+
+def random_form(rng: random.Random) -> GramForm:
+    """Positive definite forms of every shape the reduction meets: generic,
+    ties 2|g12| = k*g11 with k odd, g11 = g22, and the semi-stable boundary
+    im_sq = 1 seen through a random basis."""
+    g11 = random_rational(rng, 1, 10 ** rng.randint(1, 6))
+    shape = rng.randrange(4)
+    if shape == 1:
+        g12 = g11 * Fraction(rng.randrange(-7, 8, 2), 2)
+    else:
+        g12 = random_rational(rng, -10 ** 6, 10 ** 6)
+    if shape == 2 and g12 * g12 < g11 * g11:
+        return GramForm(g11, g12, g11)
+    if shape == 3:
+        re = Fraction(rng.randint(0, 50), 100)
+        boundary = GramForm(g11, g11 * re, g11 * (re * re + 1))
+        u = UnimodularMatrix.identity()
+        for _ in range(rng.randint(0, 8)):
+            u = rng.choice((UnimodularMatrix.inversion(),
+                            UnimodularMatrix.translation(1))) @ u
+        # the same lattice in the basis with coordinate columns of u
+        return GramForm(boundary.value(u.a, u.c),
+                        boundary.g11 * u.a * u.b
+                        + boundary.g12 * (u.a * u.d + u.c * u.b)
+                        + boundary.g22 * u.c * u.d,
+                        boundary.value(u.b, u.d))
+    return GramForm(g11, g12,
+                    (g12 * g12 + random_rational(rng, 1, 10 ** 6)) / g11)
+
+
 def random_lattice(rng: random.Random) -> PlanarLattice:
     while True:
         entries = [Fraction(rng.randint(-10, 10), rng.randint(1, 10))
@@ -216,3 +289,132 @@ class TestModularAction:
             moved = lattice.modular_act(g, tau)
             back = lattice.canonical_tau(lattice.tau_gram(moved))
             assert (back.re, back.im_sq) == (re, im_sq)
+
+
+class TestIntegerCore:
+    """The integer reducer, its cache and the integer predicates against the
+    Fraction oracle."""
+
+    FORMS = 3000
+
+    def forms(self):
+        rng = random.Random(43)
+        return [random_form(rng) for _ in range(self.FORMS)]
+
+    def test_forms_cover_every_shape(self):
+        forms = self.forms()
+        assert any(f.g12 < 0 for f in forms)
+        assert any(f.g11 == f.g22 for f in forms)
+        assert any(2 * abs(f.g12) == f.g11 for f in forms)
+        assert any(f.g12.denominator > 10 ** 5 for f in forms)
+
+    def test_reduce_gram_equals_fraction_oracle(self):
+        for form in self.forms():
+            assert lattice.reduce_gram(form) == fraction_reduce_gram(form)
+
+    def test_change_of_basis_reaches_reduced_form(self):
+        for form in self.forms():
+            reduced, (u11, u21, u12, u22) = lattice.reduce_gram(form)
+            assert abs(u11 * u22 - u12 * u21) == 1
+            assert reduced.g11 == form.value(u11, u21)
+            assert reduced.g22 == form.value(u12, u22)
+            # <w1, w2> from the bilinear form
+            assert reduced.g12 == (form.g11 * u11 * u12
+                                   + form.g12 * (u11 * u22 + u21 * u12)
+                                   + form.g22 * u21 * u22)
+
+    def test_predicates_equal_oracle(self):
+        seen = set()
+        for form in self.forms():
+            reduced, _ = fraction_reduce_gram(form)
+            l1, l2 = reduced.g11, reduced.g22
+            wr = l1 == l2
+            ss = l1 * l1 >= form.det
+            stable = l1 * l1 > form.det
+            assert lattice.is_well_rounded(form) is wr
+            assert lattice.is_semistable(form) is ss
+            assert lattice.is_stable(form) is stable
+            assert lattice.successive_minima_sq(form) == (l1, l2)
+            tau = lattice.canonical_tau(form)
+            assert (tau.re, tau.im_sq) == (reduced.g12 / l1,
+                                           reduced.det / (l1 * l1))
+            seen.add((wr, ss, stable))
+        # every kind occurs, with semi-stable but not stable among them
+        assert seen == {(True, True, True), (True, True, False),
+                        (False, True, True), (False, True, False),
+                        (False, False, False)}
+
+    def test_each_form_is_reduced_once(self, monkeypatch):
+        calls = []
+        original = lattice._lagrange
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lattice, "_lagrange", counted)
+        form = GramForm(Fraction(7, 3), Fraction(-11, 5), 9)
+        lattice.canonical_tau(form)
+        lattice.is_well_rounded(form)
+        lattice.is_semistable(form)
+        lattice.is_stable(form)
+        lattice.successive_minima_sq(form)
+        lattice.reduce_gram(form)
+        assert len(calls) == 1
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        fresh = GramForm(Fraction(7, 3), Fraction(-11, 5), 9)
+        reduced = GramForm(Fraction(7, 3), Fraction(-11, 5), 9)
+        text = repr(reduced)
+        lattice.canonical_tau(reduced)
+        assert reduced == fresh
+        assert hash(reduced) == hash(fresh)
+        assert len({reduced, fresh}) == 1
+        assert repr(reduced) == text
+        lattice.canonical_tau(fresh)
+        assert reduced == fresh and hash(reduced) == hash(fresh)
+
+    def test_gram_validation_equals_fraction_check(self):
+        grid = [Fraction(k, 3) for k in range(-4, 5)]
+        for g11 in grid:
+            for g12 in grid:
+                for g22 in grid:
+                    ok = g11 > 0 and g22 > 0 and g11 * g22 - g12 * g12 > 0
+                    if ok:
+                        GramForm(g11, g12, g22)
+                    else:
+                        with pytest.raises(ValueError):
+                            GramForm(g11, g12, g22)
+
+    def test_tau_validation_equals_fraction_check(self):
+        res = [Fraction(k, 12) for k in range(-2, 9)]
+        ims = [Fraction(k, 16) for k in range(-2, 20)]
+        for re in res:
+            for im_sq in ims:
+                if im_sq <= 0:
+                    with pytest.raises(ValueError):
+                        HalfPlanePoint(re, im_sq)
+                    continue
+                HalfPlanePoint(re, im_sq)
+                if 0 <= re <= Fraction(1, 2) and re * re + im_sq >= 1:
+                    CanonicalTau(re, im_sq)
+                else:
+                    with pytest.raises(ValueError):
+                        CanonicalTau(re, im_sq)
+
+    def test_modular_act_and_tau_gram_equal_fraction_oracle(self):
+        rng = random.Random(47)
+        letters = (UnimodularMatrix.inversion(),
+                   UnimodularMatrix.translation(1),
+                   UnimodularMatrix.translation(-1))
+        for _ in range(500):
+            tau = HalfPlanePoint(random_rational(rng, -10 ** 3, 10 ** 3),
+                                 random_rational(rng, 1, 10 ** 3))
+            g = UnimodularMatrix.identity()
+            for _ in range(rng.randint(0, 12)):
+                g = rng.choice(letters) @ g
+            out = lattice.modular_act(g, tau)
+            assert (out.re, out.im_sq) == fraction_modular_act(g, tau)
+            form = lattice.tau_gram(out)
+            assert (form.g11, form.g12, form.g22) == (
+                1, out.re, out.re * out.re + out.im_sq)
