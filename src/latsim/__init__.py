@@ -12,8 +12,8 @@ from .classes import (ClassKind, CoprimalityError, DomainError,
                       wr_pair_to_quadruple, wr_weil_height_bound)
 from .lattice import (CanonicalTau, GramForm, HalfPlanePoint, PlanarLattice,
                       UnimodularMatrix, canonical_tau, gauss_reduce, gram,
-                      is_arithmetic, is_semistable, is_stable,
-                      is_well_rounded, modular_act, tau_gram)
+                      is_semistable, is_stable, is_well_rounded, modular_act,
+                      tau_gram)
 from .modular import (JValue, boundary_realness_report, classify_by_j,
                       j_invariant, j_normalized)
 

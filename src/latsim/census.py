@@ -6,7 +6,7 @@ Three families:
 - Well-rounded classes (pairs (a, b), counted by b <= T, plus the square
   lattice class (0, 1))
 
-count_bruteforce enumerates; count_fast is a sorted-sweep Mobius counter in
+count_bruteforce enumerates; count_fast is one Farey-pair count in
 O(T^2 log T) and must agree with it everywhere both run. Main terms:
   N1 ~ 39 T^4 / (8 pi^4),  N2 ~ 3 T^4 / (8 pi^4),  N3 ~ 3 T^2 / (2 pi^2).
 """
@@ -27,12 +27,12 @@ from .classes import TauQuadruple, WrPair
 
 BRUTEFORCE_LIMIT = 60
 
-# Largest T at which count_fast is exact for the quadruple sets. The keys
-# a^2/b^2 and queries c/d are correctly rounded quotients of integers below
-# 2^53, so equal rationals give equal floats; distinct ones in [0, 1/4] differ
-# by at least 1/(b^2 d) >= 1/T^3, more than the 2^-54 that rounding can merge
-# while T < 2^18, so their order survives too. The int64 prefix sums stay below
-# P*T(T+1)/8 with P <= (T+1)^2/4 pairs: about 3.1e18 < 2^63 at T = 10^5.
+# Largest T at which count_fast is exact for the quadruple sets, checked in
+# _farey_count. Its keys a^2/b^2 and queries c/d are correctly rounded
+# quotients of integers below T^2, so equal rationals give equal floats;
+# distinct ones in [0, 1/4] differ by at least 1/(b^2 d) >= 1/T^3, more than
+# the 2^-54 rounding can merge while T < 2^18, so their order survives too. The
+# int64 sum of the searchsorted ranks is at most P * |ys|: ~1.2e18 at 10^5.
 MAX_FAST_HEIGHT = 100_000
 
 
@@ -62,22 +62,24 @@ def c_lower(a: int, b: int, d: int) -> int:
     return -((-d * (bsq - a * a)) // bsq)
 
 
-def _ramps(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n-1 for each n >= 1 in lengths, concatenated, as int32."""
-    steps = np.ones(int(lengths.sum()), dtype=np.int32)
-    steps[0] = 0
-    steps[np.cumsum(lengths[:-1])] = 1 - lengths[:-1]
-    return np.cumsum(steps, dtype=np.int32, out=steps)
+def _coprime_pairs(T: int, tables: SieveTables | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """int32 arrays a, b over gcd(a,b)=1, 0 <= 2a <= b <= T, ordered by (b, a).
 
-
-def _coprime_pairs(T: int) -> tuple[np.ndarray, np.ndarray]:
-    """int32 arrays a, b over gcd(a,b)=1, 0 <= 2a <= b <= T, ordered by (b, a)."""
-    rows = np.arange(1, T + 1, dtype=np.int32)
-    width = rows // 2 + 1
-    a = _ramps(width)
-    b = np.repeat(rows, width)
-    keep = np.gcd(a, b) == 1
-    return a[keep], b[keep]
+    Strikes the multiples of each prime p <= T/2 (from tables.spf, or from a
+    sieve to T // 2) off the triangle 2a <= b.
+    """
+    rows = np.arange(T + 1, dtype=np.int32)
+    cols = rows[:T // 2 + 1]
+    mask = 2 * cols <= rows[:, None]
+    if tables is None:
+        tables = build_sieve(max(T // 2, 1))
+    n = np.arange(2, cols.size)
+    for p in n[tables.spf[2:cols.size] == n].tolist():
+        mask[p::p, ::p] = False
+    mask[:, 0] = rows == 1  # gcd(0, b) = b
+    a = np.broadcast_to(cols, mask.shape)[mask]
+    return a, np.repeat(rows, np.count_nonzero(mask, axis=1))
 
 
 def enumerate_classes(set_id: ClassSetId, T: int
@@ -111,36 +113,17 @@ def count_bruteforce(set_id: ClassSetId, T: int) -> int:
     return sum(1 for _ in enumerate_classes(set_id, T))
 
 
-def _floor_sum_prefix(T: int) -> tuple[int, np.ndarray]:
-    """Number of pairs P and U[M] = sum over d <= M and pairs of floor(d a^2/b^2).
-
-    floor(d a^2/b^2) counts the c >= 1 with c/d <= a^2/b^2 <= 1/4, so
-    U[M] - U[M-1] = sum over c <= M/4 of #{pairs with a^2/b^2 >= c/M}: one
-    searchsorted of all queries c/d against the sorted keys a^2/b^2.
-    """
-    a, b = _coprime_pairs(T)
-    keys = np.square(a, dtype=np.float64) / np.square(b, dtype=np.float64)
-    keys.sort()
-    f = np.zeros(T + 1, dtype=np.int64)
-    if T >= 4:
-        d = np.arange(4, T + 1, dtype=np.int32)
-        per_d = d // 4
-        queries = (_ramps(per_d) + 1) / np.repeat(d, per_d)
-        below = np.searchsorted(keys, queries, side="left")
-        first = np.cumsum(per_d, dtype=np.int64) - per_d
-        f[4:] = per_d.astype(np.int64) * keys.size - np.add.reduceat(below, first)
-    return keys.size, np.cumsum(f)
-
-
 def count_fast(set_id: ClassSetId, T: int,
                tables: SieveTables | None = None) -> int:
     """Exact class count at height T without enumeration, in O(T^2 log T).
 
-    Mobius inversion over e = gcd(c, d) leaves, for each pair (a, b), the
-    (c, d) with d <= M = T // e and c in [d - floor(d a^2/b^2), H] with
-    H = M (all classes) or H = d (semi-stable). Summed over pairs this is
-    P*B(M) + U(M), with P pairs, B(M) = M(M+1)/2 or M, and U from
-    _floor_sum_prefix, so N(T) = sum over e of mu(e) * (P*B(M) + U(M)).
+    For a pair (a, b) with r = a^2/b^2 <= 1/4, the c coprime to d in
+    [d - floor(d r), d - 1] are the c = d - k, one for each Farey fraction
+    k/d <= r of order T; as 1 <= 4k <= d, k/d is itself a pair. So with P
+    pairs, Phi(T) = phi(1) + ... + phi(T) and V from _farey_count:
+    N2(T) = P + V (c = d = 1 adds one class per pair) and
+    N1(T) = P * Phi(T) + V (per pair the c <= T coprime to d give
+    2 Phi(T) - 1, and those below the range Phi(T) - 1 less its share of V).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -159,21 +142,31 @@ def count_fast(set_id: ClassSetId, T: int,
     return n2 if set_id is ClassSetId.SEMISTABLE else n1
 
 
-def _quadruple_counts(T: int, tables: SieveTables) -> tuple[int, int]:
-    """(N1(T), N2(T)) from one sweep: both sets share P and U (see count_fast).
+def _farey_count(T: int, tables: SieveTables) -> tuple[int, int]:
+    """(P, V): P pairs 0 <= 2a <= b <= T, and V the (x, y) with x = a/b from
+    them, y = c/d from those with 1 <= 4c <= d, and y <= x^2.
 
-    The caller checks 1 <= T <= min(MAX_FAST_HEIGHT, tables.bound).
+    V is one searchsorted of the sorted y against the sorted keys x^2, each
+    the correctly rounded a^2/b^2: squaring a rounded a/b can break exact
+    ties such as (1/3)^2 = 1/9 (see MAX_FAST_HEIGHT).
     """
-    pairs, U = _floor_sum_prefix(T)
-    mu = tables.mu[:T + 1].tolist()
-    n1 = n2 = 0
-    for e in range(1, T + 1):
-        if mu[e]:
-            M = T // e
-            u = int(U[M])
-            n1 += mu[e] * (pairs * (M * (M + 1) // 2) + u)
-            n2 += mu[e] * (pairs * M + u)
-    return n1, n2
+    if not 1 <= T <= MAX_FAST_HEIGHT:
+        raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
+    a, b = _coprime_pairs(T, tables)
+    low = (4 * a <= b) & (a > 0)
+    ys = a[low] / b[low]
+    ys.sort()
+    keys = np.square(a, dtype=np.float64)
+    keys /= np.square(b, dtype=np.float64)
+    keys.sort()
+    below = np.searchsorted(keys, ys, side="left")
+    return keys.size, keys.size * ys.size - int(below.sum())
+
+
+def _quadruple_counts(T: int, tables: SieveTables) -> tuple[int, int]:
+    """(N1(T), N2(T)) = (P * Phi(T) + V, P + V); the caller checks the bound."""
+    pairs, v = _farey_count(T, tables)
+    return pairs * int(tables.phi_prefix[T]) + v, pairs + v
 
 
 def main_terms(T: int) -> tuple[float, float, float]:

@@ -130,8 +130,7 @@ def _cmd_reduce(args) -> int:
     print(f"re={tau.re} im_sq={tau.im_sq} im={_real(tau.im)}")
     print(f"well_rounded={lattice.is_well_rounded(form)} "
           f"semistable={lattice.is_semistable(form)} "
-          f"stable={lattice.is_stable(form)} "
-          f"arithmetic={lattice.is_arithmetic(form)}")
+          f"stable={lattice.is_stable(form)}")
     return 0
 
 

@@ -292,20 +292,6 @@ def is_stable(obj: GramLike) -> bool:
     return a * a > a * c - b * b
 
 
-def is_arithmetic(obj: Union[GramLike, HalfPlanePoint]) -> bool:
-    """Gram entries span a one-dimensional Q-vector space.
-
-    Identically true for rational Gram data, which is all this library
-    represents; the predicate exists so callers can assert it on arbitrary
-    inputs (a HalfPlanePoint is arithmetic iff re and im_sq are rational,
-    which its type already guarantees).
-    """
-    if isinstance(obj, HalfPlanePoint):
-        return True
-    _as_gram(obj)
-    return True
-
-
 def modular_act(g: UnimodularMatrix, tau: HalfPlanePoint) -> HalfPlanePoint:
     """Fractional linear action tau -> (a*tau + b) / (c*tau + d), exact.
 

@@ -1,7 +1,8 @@
 """Self-verification suites: each check returns (name, passed, detail).
 
 Suites:
-- counts:       fast counter vs enumeration oracle, golden small counts
+- counts:       fast counter vs enumeration oracle, golden small counts,
+                N1 - N2 = N3 (Phi(T) - 1) against the totients
 - asymptotics:  main-term constants and convergence of relative deviations
 - euler:        totient/divisor lemmas and the restricted power-sum constant
 - haar:         hyperbolic-volume quadrature against closed forms
@@ -32,7 +33,7 @@ DEFAULT_SEED = 20260823
 
 def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     checks: list[Check] = []
-    tables = arith.build_sieve(oracle_max_T)
+    tables = arith.build_sieve(max(oracle_max_T, 400))
 
     worst = None
     ok = True
@@ -57,6 +58,14 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     ]
     for name, got, want in golden:
         checks.append((f"golden {name} = {want}", got == want, f"got {got}"))
+
+    # the kernel's pair count P against N3 from the totients; at T <= 400 the
+    # kernel's arrays stay below the peak memory of the other suites
+    split = [(r.n1 - r.n2, r.n3 * (arith.phi_sum(tables, r.T) - 1))
+             for r in census.census_report((100, 200, 400), tables)]
+    checks.append(("N1 - N2 = N3 (Phi(T) - 1) at T = 100, 200, 400",
+                   all(x == y for x, y in split),
+                   "; ".join(f"{x} vs {y}" for x, y in split)))
     return checks
 
 
@@ -106,6 +115,9 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
     # the last check reads phi_sum up to T = 10^4 whatever nmax and bmax are
     tables = arith.build_sieve(max(nmax, bmax, 10_000))
     rng = random.Random(seed)
+    # the endpoints k/den, built once: ranges[den][k] = Fraction(k, den)
+    ranges = {den: [Fraction(k, den) for k in range(den + 1)]
+              for den in range(2, 65)}
 
     worst_excess = -math.inf
     ok = True
@@ -115,7 +127,7 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
         for _ in range(pairs_per_n):
             den = rng.randint(2, 64)
             lo, hi = sorted(rng.sample(range(den + 1), 2))
-            got = arith.phi_restricted(Fraction(lo, den), Fraction(hi, den),
+            got = arith.phi_restricted(ranges[den][lo], ranges[den][hi],
                                        n, tables)
             # |got - (hi - lo)/den * phi(n)| - 2^omega(n), scaled by den
             excess = abs(got * den - (hi - lo) * phi_n) - two_om * den

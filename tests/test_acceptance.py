@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from latsim import verify
+from latsim import census, verify
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -40,6 +40,22 @@ def test_criterion_2_golden_small_counts():
               if c[0].startswith("golden")]
     assert_checks("2. golden counts N1(1), N1(2), N2(2), N3(10) - 1, N3(10)",
                   checks)
+
+
+def test_counts_split_matches_totients(monkeypatch):
+    name = "N1 - N2 = N3 (Phi(T) - 1) at T = 100, 200, 400"
+    checks = [c for c in verify.verify_counts(oracle_max_T=5) if c[0] == name]
+    assert len(checks) == 1 and checks[0][1], checks
+    # one pair too many in the kernel's count P breaks the identity
+    farey_count = census._farey_count
+
+    def one_pair_too_many(T, tables):
+        pairs, v = farey_count(T, tables)
+        return pairs + 1, v
+
+    monkeypatch.setattr(census, "_farey_count", one_pair_too_many)
+    checks = [c for c in verify.verify_counts(oracle_max_T=5) if c[0] == name]
+    assert len(checks) == 1 and not checks[0][1], checks
 
 
 def test_criterion_3_asymptotic_constants():

@@ -56,13 +56,52 @@ def moebius_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
     return total
 
 
+def gcd_pairs(T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The triangle 0 <= 2a <= b <= T filtered by np.gcd, ordered by (b, a)."""
+    rows = np.arange(1, T + 1, dtype=np.int32)
+    b = np.repeat(rows, rows // 2 + 1)
+    a = np.concatenate([np.arange(r // 2 + 1, dtype=np.int32)
+                        for r in rows.tolist()])
+    keep = np.gcd(a, b) == 1
+    return a[keep], b[keep]
+
+
+def sweep_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
+    """The sorted-sweep Mobius counter that count_fast replaced, kept as an
+    oracle: N = sum over e of mu(e) * (P*B(M) + U(M)) with M = T // e,
+    B(M) = M(M+1)/2 (all) or M (semi-stable), and U(M) the sum over d <= M and
+    pairs of floor(d a^2/b^2), from one searchsorted of the queries c/d,
+    c <= d/4, against the sorted keys a^2/b^2.
+    """
+    a, b = gcd_pairs(T)
+    keys = np.square(a, dtype=np.float64) / np.square(b, dtype=np.float64)
+    keys.sort()
+    f = np.zeros(T + 1, dtype=np.int64)
+    for d in range(4, T + 1):
+        queries = np.arange(1, d // 4 + 1) / d
+        below = np.searchsorted(keys, queries, side="left")
+        f[d] = (d // 4) * keys.size - int(below.sum())
+    U = np.cumsum(f).tolist()
+    total = 0
+    for e in range(1, T + 1):
+        mu = int(tables.mu[e])
+        if mu:
+            M = T // e
+            total += mu * (keys.size * (M if semistable else M * (M + 1) // 2)
+                           + U[M])
+    return total
+
+
 # Exact counts at which the two earlier kernels (Mobius and prefix tables)
-# agreed; the benchmark checks the same values.
+# agreed, and the sorted sweep at T = 3200; the benchmark checks the T = 800
+# and 1600 values.
 PINNED_COUNTS = {
     (800, ClassSetId.ALL): 20542882284,
     (800, ClassSetId.SEMISTABLE): 1579003660,
     (1600, ClassSetId.ALL): 328049970981,
     (1600, ClassSetId.SEMISTABLE): 25227058954,
+    (3200, ClassSetId.ALL): 5250026039436,
+    (3200, ClassSetId.SEMISTABLE): 403805662891,
 }
 
 
@@ -127,8 +166,16 @@ class TestCounters:
                 assert census.count_fast(set_id, T, TABLES) == \
                     moebius_oracle(semistable, T, TABLES), (T, set_id)
 
+    def test_fast_equals_sweep_oracle(self):
+        tables = arith.build_sieve(800)
+        for T in list(range(1, 101)) + [200, 400, 800]:
+            for semistable, set_id in ((False, ClassSetId.ALL),
+                                       (True, ClassSetId.SEMISTABLE)):
+                assert census.count_fast(set_id, T, tables) == \
+                    sweep_oracle(semistable, T, tables), (T, set_id)
+
     def test_pinned_counts(self):
-        tables = arith.build_sieve(1600)
+        tables = arith.build_sieve(3200)
         for (T, set_id), want in PINNED_COUNTS.items():
             assert census.count_fast(set_id, T, tables) == want
 
@@ -139,8 +186,18 @@ class TestCounters:
         for set_id in (ClassSetId.ALL, ClassSetId.SEMISTABLE):
             assert TauQuadruple(1, 2, 3, 4) in \
                 set(census.enumerate_classes(set_id, 4))
-        pairs, U = census._floor_sum_prefix(4)
-        assert (pairs, U.tolist()) == (4, [0, 0, 0, 0, 1])
+        # pairs (0,1), (1,2), (1,3), (1,4); the one query 1/4 ties x = 1/2
+        assert census._farey_count(4, TABLES) == (4, 1)
+
+    def test_struck_pairs_equal_gcd_triangle(self):
+        tables = arith.build_sieve(1000)
+        for T in [*range(1, 201), 1000]:
+            want = gcd_pairs(T)
+            for got in (census._coprime_pairs(T),
+                        census._coprime_pairs(T, tables)):
+                for g, w in zip(got, want):
+                    assert g.dtype == np.int32
+                    assert np.array_equal(g, w), T
 
     def test_exactness_range_enforced_before_sieve(self, monkeypatch):
         def no_sieve(bound):
@@ -206,13 +263,13 @@ class TestMainTermsAndReport:
 
     def test_report_sweeps_once_per_T(self, monkeypatch):
         sweeps = []
-        sweep = census._floor_sum_prefix
+        sweep = census._farey_count
 
-        def counted(T):
+        def counted(T, tables):
             sweeps.append(T)
-            return sweep(T)
+            return sweep(T, tables)
 
-        monkeypatch.setattr(census, "_floor_sum_prefix", counted)
+        monkeypatch.setattr(census, "_farey_count", counted)
         reports = census.census_report([37, 200], TABLES)
         assert sweeps == [37, 200]
         for r in reports:

@@ -66,7 +66,9 @@ class TestReduce:
     def test_fractional_basis(self, capsys):
         code, out, _ = run(capsys, "reduce", "--basis", "1,0,1/2,3/2")
         assert code == 0
-        assert "im_sq=9/4" in out
+        assert out.splitlines() == [
+            "re=1/2 im_sq=9/4 im=1.5",
+            "well_rounded=False semistable=False stable=False"]
 
 
 class TestJAndHeight:

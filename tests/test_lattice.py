@@ -250,10 +250,6 @@ class TestPredicates:
             assert lattice.is_well_rounded(form)
             assert lattice.is_semistable(form)
 
-    def test_arithmetic_always_true_for_rational_data(self):
-        assert lattice.is_arithmetic(PlanarLattice((1, 0), (5, 1)))
-        assert lattice.is_arithmetic(CanonicalTau(0, 1))
-
 
 class TestModularAction:
     def test_identity(self):
