@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, prod
-from typing import Iterator, Sequence
+from math import gcd
+from typing import Sequence
 
 import numpy as np
 
@@ -125,10 +124,16 @@ def distinct_primes(n: int, tables: SieveTables | None = None) -> list[int]:
     return primes
 
 
-def _squarefree_divisors(primes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    for r in range(len(primes) + 1):
-        for combo in combinations(primes, r):
-            yield prod(combo), (-1) ** r
+def _squarefree_divisors(primes: Sequence[int]) -> list[tuple[int, int]]:
+    """Pairs (e, mu(e)) over the squarefree divisors e of prod(primes).
+
+    Each prime doubles the list: every e already in it gains e * p with the
+    sign flipped. Expects distinct primes, as from distinct_primes.
+    """
+    divs = [(1, 1)]
+    for p in primes:
+        divs += [(e * p, -m) for e, m in divs]
+    return divs
 
 
 def phi_restricted(alpha: Fraction, beta: Fraction, n: int,

@@ -1,7 +1,8 @@
 """Self-verification suites: each check returns (name, passed, detail).
 
 Suites:
-- counts:       fast counter vs enumeration oracle, golden small counts,
+- counts:       fast counter vs enumeration oracle at every T (one
+                enumeration per set, binned by height), golden small counts,
                 N1 - N2 = N3 (Phi(T) - 1) against the totients
 - asymptotics:  main-term constants and convergence of relative deviations
 - euler:        totient/divisor lemmas and the restricted power-sum constant
@@ -19,6 +20,7 @@ import inspect
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,16 +33,36 @@ Check = tuple[str, bool, str]
 DEFAULT_SEED = 20260823
 
 
+def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
+    """count_bruteforce(set_id, T) for every T <= max_T from one enumeration.
+
+    enumerate_classes(set_id, T) yields exactly the classes of height <= T
+    among those of enumerate_classes(set_id, max_T), so binning one stream by
+    height and summing the bins gives every count.
+    """
+    if max_T > census.BRUTEFORCE_LIMIT:
+        raise ValueError(
+            f"brute-force counting capped at T={census.BRUTEFORCE_LIMIT}")
+    height = (classes.pair_height if set_id is ClassSetId.WELL_ROUNDED
+              else classes.max_height)
+    bins = [0] * (max_T + 1)
+    for cls in census.enumerate_classes(set_id, max_T):
+        bins[height(cls)] += 1
+    return list(accumulate(bins))
+
+
 def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     checks: list[Check] = []
     tables = arith.build_sieve(max(oracle_max_T, 400))
+    brute_at = {set_id: _bruteforce_prefix_counts(set_id, oracle_max_T)
+                for set_id in ClassSetId}
 
     worst = None
     ok = True
     for T in range(1, oracle_max_T + 1):
         for set_id in ClassSetId:
             fast = census.count_fast(set_id, T, tables)
-            brute = census.count_bruteforce(set_id, T)
+            brute = brute_at[set_id][T]
             if fast != brute:
                 ok = False
                 worst = (set_id.value, T, fast, brute)

@@ -35,6 +35,43 @@ def test_criterion_1_oracle_equivalence():
     assert_checks("1. count_fast == count_bruteforce for T in [1,40]", checks)
 
 
+def test_binned_oracle_equals_bruteforce_at_every_height(monkeypatch):
+    streams = []
+    enumerate_classes = census.enumerate_classes
+
+    def counted(set_id, T):
+        streams.append((set_id, T))
+        return enumerate_classes(set_id, T)
+
+    monkeypatch.setattr(census, "enumerate_classes", counted)
+    prefixes = {set_id: verify._bruteforce_prefix_counts(set_id, 40)
+                for set_id in census.ClassSetId}
+    assert streams == [(set_id, 40) for set_id in census.ClassSetId]
+    for set_id, prefix in prefixes.items():
+        assert len(prefix) == 41 and prefix[0] == 0
+        for T in [*range(1, 26), 40]:
+            assert prefix[T] == census.count_bruteforce(set_id, T), (set_id, T)
+
+
+def test_criterion_1_reports_a_single_mismatch(monkeypatch):
+    count_fast = census.count_fast
+
+    def off_by_one(set_id, T, tables=None):
+        n = count_fast(set_id, T, tables)
+        return n + 1 if (set_id, T) == (census.ClassSetId.SEMISTABLE, 37) else n
+
+    monkeypatch.setattr(census, "count_fast", off_by_one)
+    checks = [c for c in verify.verify_counts(oracle_max_T=40)
+              if c[0] == "count_fast == count_bruteforce"]
+    assert len(checks) == 1 and not checks[0][1], checks
+    assert "set=semistable T=37" in checks[0][2], checks
+
+
+def test_criterion_1_keeps_the_bruteforce_cap():
+    with pytest.raises(ValueError):
+        verify.verify_counts(oracle_max_T=census.BRUTEFORCE_LIMIT + 1)
+
+
 def test_criterion_2_golden_small_counts():
     checks = [c for c in verify.verify_counts(oracle_max_T=10)
               if c[0].startswith("golden")]

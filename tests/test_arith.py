@@ -137,6 +137,21 @@ class TestDistinctPrimes:
             assert arith.distinct_primes(n, small) == want
 
 
+class TestSquarefreeDivisors:
+    def test_signed_divisors_equal_mobius(self):
+        assert arith._squarefree_divisors(arith.distinct_primes(1, TABLES)) \
+            == [(1, 1)]
+        mu = TABLES.mu
+        want = [set() for _ in range(10_001)]
+        for e in range(1, 10_001):
+            if mu[e]:
+                for n in range(e, 10_001, e):
+                    want[n].add((e, int(mu[e])))
+        for n in range(1, 10_001):
+            divs = arith._squarefree_divisors(arith.distinct_primes(n, TABLES))
+            assert len(divs) == len(want[n]) and set(divs) == want[n], n
+
+
 class TestCoprimeCountRange:
     def test_examples(self):
         assert arith.coprime_count_range(1, 10, 1) == 10
