@@ -1,18 +1,21 @@
 """Sieve-backed arithmetic functions and coprimality counting.
 
 Provides:
-- Linear sieve tables: smallest prime factor, Mobius mu(n), Euler phi(n),
-  omega(n) (distinct prime factors), d(n) (divisor count), prefix sums of phi
+- Vectorised sieve tables: smallest prime factor, Mobius mu(n), Euler
+  phi(n), omega(n) (distinct prime factors), d(n) (divisor count), prefix
+  sums of phi
 - Restricted totient phi_{alpha,beta}(n) on open intervals (alpha*n, beta*n)
 - Coprime counting on closed integer ranges via Mobius inclusion-exclusion
+  over the signed squarefree divisors of n, memoised per n and sieve
 - Power sums of residues coprime to b restricted to [1, b/2]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -20,12 +23,13 @@ import numpy as np
 MAX_POWER_SUM_B = 10 ** 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SieveTables:
     """Dense arithmetic-function tables for n = 1..bound.
 
     Arrays have length bound+1 and are indexed directly by n; index 0 is a
     sentinel. Immutable after construction and safe to share across threads.
+    Equality and hash are by identity, so a sieve can key a cache.
     """
 
     bound: int
@@ -37,58 +41,53 @@ class SieveTables:
     phi_prefix: np.ndarray # phi_prefix[n] = sum_{k<=n} phi(k), int64
 
     def __post_init__(self):
-        # numpy arrays are not hashable; lock them against accidental writes
+        # equality and hash are by identity, not by the arrays' values; lock
+        # the arrays so that a sieve keying a cache entry never changes
         for arr in (self.spf, self.mu, self.phi, self.omega,
                     self.divcount, self.phi_prefix):
             arr.setflags(write=False)
 
 
 def build_sieve(bound: int) -> SieveTables:
-    """Fill all tables up to `bound` with a linear (spf-driven) sieve."""
+    """Fill all tables up to `bound` with a vectorised sieve.
+
+    Each prime p <= sqrt(bound), in increasing order, lowers the smallest
+    prime factor of its multiples from p^2 on to p. The multiplicative
+    tables then follow in dyadic blocks m in [L, 2L): the cofactor
+    r = m / spf(m) is below L, so its entries are final, and whether spf(m)
+    divides r decides each table's recurrence.
+    """
     if bound < 1:
         raise ValueError("sieve bound must be >= 1")
     n = bound
-    spf = np.zeros(n + 1, dtype=np.int64)
+    spf = np.arange(n + 1, dtype=np.int64)
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            np.minimum(multiples, p, out=multiples)
+
     mu = np.zeros(n + 1, dtype=np.int8)
     phi = np.zeros(n + 1, dtype=np.int64)
     omega = np.zeros(n + 1, dtype=np.int8)
     divcount = np.zeros(n + 1, dtype=np.int32)
     # exponent of spf[i] in i, used for the divisor-count recurrence
     e = np.zeros(n + 1, dtype=np.int8)
+    mu[1] = phi[1] = divcount[1] = 1
 
-    spf[1] = 1
-    mu[1] = 1
-    phi[1] = 1
-    omega[1] = 0
-    divcount[1] = 1
-    primes: list[int] = []
-
-    for i in range(2, n + 1):
-        if spf[i] == 0:
-            spf[i] = i
-            primes.append(i)
-            mu[i] = -1
-            phi[i] = i - 1
-            omega[i] = 1
-            divcount[i] = 2
-            e[i] = 1
-        for p in primes:
-            ip = i * p
-            if p > spf[i] or ip > n:
-                break
-            spf[ip] = p
-            if i % p == 0:
-                mu[ip] = 0
-                phi[ip] = phi[i] * p
-                omega[ip] = omega[i]
-                e[ip] = e[i] + 1
-                divcount[ip] = divcount[i] // (e[i] + 1) * (e[i] + 2)
-            else:
-                mu[ip] = -mu[i]
-                phi[ip] = phi[i] * (p - 1)
-                omega[ip] = omega[i] + 1
-                e[ip] = 1
-                divcount[ip] = divcount[i] * 2
+    lo = 2
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        p = spf[lo:hi]
+        r = np.arange(lo, hi) // p
+        sq = spf[r] == p
+        mu[lo:hi] = np.where(sq, 0, -mu[r])
+        phi[lo:hi] = phi[r] * np.where(sq, p, p - 1)
+        omega[lo:hi] = omega[r] + ~sq
+        e_r = e[r]
+        e[lo:hi] = np.where(sq, e_r + 1, 1)
+        divcount[lo:hi] = np.where(sq, divcount[r] // (e_r + 1) * (e_r + 2),
+                                   divcount[r] * 2)
+        lo = hi
 
     phi_prefix = np.cumsum(phi)
     return SieveTables(bound=n, spf=spf, mu=mu, phi=phi, omega=omega,
@@ -136,6 +135,17 @@ def _squarefree_divisors(primes: Sequence[int]) -> list[tuple[int, int]]:
     return divs
 
 
+@lru_cache(maxsize=64)
+def _signed_divisors(n: int, tables: SieveTables | None
+                     ) -> tuple[tuple[int, int], ...]:
+    """_squarefree_divisors of n's distinct primes, memoised per (n, tables).
+
+    Callers that count many ranges against one n factor it once. The bound
+    is small because each entry keeps its sieve alive.
+    """
+    return tuple(_squarefree_divisors(distinct_primes(n, tables)))
+
+
 def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
                    tables: SieveTables | None = None) -> int:
     """Count integers k in the open interval (alpha*n, beta*n) coprime to n.
@@ -143,7 +153,8 @@ def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
     Requires 0 <= alpha < beta <= 1. Open-interval semantics: integer
     endpoints alpha*n, beta*n are excluded, so the count runs over the
     closed range [floor(alpha*n) + 1, ceil(beta*n) - 1]. Passing sieve
-    tables skips the trial-division factorization of n.
+    tables skips the trial-division factorization of n; repeated calls with
+    the same n and tables reuse its memoised signed divisors.
     """
     if not isinstance(alpha, (int, Fraction)):
         alpha = Fraction(alpha)
@@ -186,7 +197,7 @@ def coprime_count_range(lo: int, hi: int, n: int,
     if lo > hi:
         return 0
     total = 0
-    for e, mu_e in _squarefree_divisors(distinct_primes(n, tables)):
+    for e, mu_e in _signed_divisors(n, tables):
         total += mu_e * (hi // e - (lo - 1) // e)
     return total
 

@@ -135,8 +135,7 @@ def count_fast(set_id: ClassSetId, T: int,
         raise ValueError(f"T={T} exceeds sieve bound {tables.bound}")
 
     if set_id is ClassSetId.WELL_ROUNDED:
-        phi = tables.phi
-        return 1 + sum((int(phi[b]) + 1) // 2 for b in range(2, T + 1))
+        return 1 + int(((tables.phi[2:T + 1] + 1) // 2).sum())
 
     n1, n2 = _quadruple_counts(T, tables)
     return n2 if set_id is ClassSetId.SEMISTABLE else n1

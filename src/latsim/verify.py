@@ -130,6 +130,27 @@ def verify_asymptotics(Ts: Sequence[int] = (50, 100, 200, 400)) -> list[Check]:
     return checks
 
 
+def _sample_pair(rng: random.Random, m: int) -> tuple[int, int]:
+    """sorted(rng.sample(range(m), 2)) from the same draws, for m >= 2.
+
+    CPython's sample draws k = 2 from a pool when m <= 21: the second draw
+    indexes the first m - 1 slots after the last item, m - 1, has filled the
+    first pick's slot, so a repeat means m - 1. For larger m it redraws until
+    the two differ. Like sample, randrange(k) draws with _randbelow(k), so
+    the stream of draws stays the same.
+    """
+    i = rng.randrange(m)
+    if m <= 21:
+        j = rng.randrange(m - 1)
+        if j == i:
+            j = m - 1
+    else:
+        j = rng.randrange(m)
+        while j == i:
+            j = rng.randrange(m)
+    return (i, j) if i < j else (j, i)
+
+
 def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
                  pairs_per_n: int = 20, seed: int = DEFAULT_SEED,
                  power_sum_constant: float = 4.0) -> list[Check]:
@@ -148,7 +169,7 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
         two_om = 1 << int(tables.omega[n])
         for _ in range(pairs_per_n):
             den = rng.randint(2, 64)
-            lo, hi = sorted(rng.sample(range(den + 1), 2))
+            lo, hi = _sample_pair(rng, den + 1)
             got = arith.phi_restricted(ranges[den][lo], ranges[den][hi],
                                        n, tables)
             # |got - (hi - lo)/den * phi(n)| - 2^omega(n), scaled by den

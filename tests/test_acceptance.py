@@ -7,6 +7,7 @@ prescribed heights (see notes on the asymptotics suite).
 """
 
 import math
+import random
 
 import pytest
 
@@ -114,6 +115,18 @@ def test_criterion_5_euler_function_lemmas():
     checks = verify.verify_euler()
     assert_checks("5. restricted-totient bounds, divisor bounds, "
                   "power-sum constant <= 4", checks)
+    # the sampled (n, alpha, beta) triples are pinned by the seed
+    assert checks[0][2] == "worst excess -0.12766"
+
+
+def test_euler_pair_draws_equal_random_sample():
+    for m in range(2, 66):
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(20):
+                assert verify._sample_pair(rng, m) == \
+                    tuple(sorted(ref.sample(range(m), 2))), (m, seed)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_euler_suite_below_the_phi_sum_heights():

@@ -2,11 +2,76 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
 from latsim import arith
 
 TABLES = arith.build_sieve(10_000)
+
+
+def linear_sieve(n: int) -> dict[str, np.ndarray]:
+    """Reference tables from the linear (spf-driven) sieve, one i at a time."""
+    spf = np.zeros(n + 1, dtype=np.int64)
+    mu = np.zeros(n + 1, dtype=np.int8)
+    phi = np.zeros(n + 1, dtype=np.int64)
+    omega = np.zeros(n + 1, dtype=np.int8)
+    divcount = np.zeros(n + 1, dtype=np.int32)
+    e = np.zeros(n + 1, dtype=np.int8)
+    spf[1] = mu[1] = phi[1] = divcount[1] = 1
+    primes: list[int] = []
+    for i in range(2, n + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            primes.append(i)
+            mu[i] = -1
+            phi[i] = i - 1
+            omega[i] = 1
+            divcount[i] = 2
+            e[i] = 1
+        for p in primes:
+            ip = i * p
+            if p > spf[i] or ip > n:
+                break
+            spf[ip] = p
+            if i % p == 0:
+                mu[ip] = 0
+                phi[ip] = phi[i] * p
+                omega[ip] = omega[i]
+                e[ip] = e[i] + 1
+                divcount[ip] = divcount[i] // (e[i] + 1) * (e[i] + 2)
+            else:
+                mu[ip] = -mu[i]
+                phi[ip] = phi[i] * (p - 1)
+                omega[ip] = omega[i] + 1
+                e[ip] = 1
+                divcount[ip] = divcount[i] * 2
+    return dict(spf=spf, mu=mu, phi=phi, omega=omega, divcount=divcount,
+                phi_prefix=np.cumsum(phi))
+
+
+class TestVectorisedSieve:
+    def test_equals_linear_sieve(self):
+        bounds = sorted({*range(1, 301), 10 ** 5,
+                         *(2 ** k + d for k in range(18) for d in (-1, 0, 1))}
+                        - {0})
+        # the linear sieve writes entry i from entries below i whatever the
+        # bound n >= i, so one run to the largest bound holds every smaller
+        # bound's tables as a prefix
+        oracle = linear_sieve(max(bounds))
+        for bound in bounds:
+            t = arith.build_sieve(bound)
+            assert t.bound == bound
+            for name, table in oracle.items():
+                got, want = getattr(t, name), table[:bound + 1]
+                assert got.dtype == want.dtype, (bound, name)
+                assert np.array_equal(got, want), (bound, name)
+                assert not got.flags.writeable
+
+    def test_hash_and_equality_by_identity(self):
+        t = arith.build_sieve(10)
+        assert hash(t) == hash(t) and t == t
+        assert t != arith.build_sieve(10)
 
 
 class TestBuildSieve:
@@ -126,6 +191,25 @@ class TestPhiRestricted:
                 a, b = Fraction(lo, den), Fraction(hi, den)
                 got = arith.phi_restricted(a, b, n, TABLES)
                 assert abs(got - (b - a) * phi_n) <= two_om
+
+
+class TestSignedDivisorMemo:
+    def test_twenty_ranges_factor_n_once(self, monkeypatch):
+        calls = []
+        distinct_primes = arith.distinct_primes
+
+        def counting(n, tables=None):
+            calls.append(n)
+            return distinct_primes(n, tables)
+
+        monkeypatch.setattr(arith, "distinct_primes", counting)
+        tables = arith.build_sieve(100)  # a fresh sieve misses the memo
+        n = 60
+        for k in range(20):
+            a, b = Fraction(k, 40), Fraction(k + 20, 40)
+            assert arith.phi_restricted(a, b, n, tables) == \
+                arith.phi_restricted_scan(a, b, n)
+        assert calls == [n]
 
 
 class TestDistinctPrimes:
