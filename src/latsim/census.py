@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence, Union
 
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .arith import SieveTables, build_sieve
-from .classes import TauQuadruple, WrPair
+from .classes import TauQuadruple, WrPair, _trusted_quadruple
 
 BRUTEFORCE_LIMIT = 60
 
@@ -88,7 +89,16 @@ def enumerate_classes(set_id: ClassSetId, T: int
 
     Quadruple sets stream lexicographically by (b, a, d, c); the well-rounded
     set streams pairs by (b, a), starting with the extra class (0, 1).
+
+    The row of each d lists, once and increasing, the c in [1, T] (in [1, d]
+    if semistable) coprime to d; a pair (a, b) takes the tail of each row
+    from c_lower(a, b, d). So every quadruple is valid without a check of its
+    own: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
+    _coprime_pairs; gcd(c, d) = 1 and c >= 1 because c comes from the row of
+    d; and c * b^2 >= d * (b^2 - a^2) because c >= c_lower(a, b, d).
     """
+    if not isinstance(set_id, ClassSetId):
+        raise ValueError(f"unknown class set {set_id!r}")
     if T < 1:
         raise ValueError("T must be >= 1")
     a_arr, b_arr = _coprime_pairs(T)
@@ -98,12 +108,13 @@ def enumerate_classes(set_id: ClassSetId, T: int
             yield WrPair(a, b)
         return
     semistable = set_id is ClassSetId.SEMISTABLE
+    rows = [(d, [c for c in range(1, (d if semistable else T) + 1)
+                 if math.gcd(c, d) == 1])
+            for d in range(1, T + 1)]
     for a, b in pairs:
-        for d in range(1, T + 1):
-            hi = d if semistable else T
-            for c in range(c_lower(a, b, d), hi + 1):
-                if math.gcd(c, d) == 1:
-                    yield TauQuadruple(a, b, c, d)
+        for d, row in rows:
+            for c in row[bisect_left(row, c_lower(a, b, d)):]:
+                yield _trusted_quadruple(a, b, c, d)
 
 
 def count_bruteforce(set_id: ClassSetId, T: int) -> int:
@@ -181,6 +192,8 @@ def main_terms(T: int) -> tuple[float, float, float]:
 def census_report(Ts: Sequence[int], tables: SieveTables | None = None
                   ) -> list[CountReport]:
     """Exact counts with main-term comparisons for each requested T."""
+    if len(Ts) == 0:
+        raise ValueError("census_report needs at least one height T")
     if max(Ts) > MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
     if tables is None:

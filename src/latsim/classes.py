@@ -65,6 +65,19 @@ class TauQuadruple:
         return CanonicalTau(Fraction(self.a, self.b), Fraction(self.c, self.d))
 
 
+def _trusted_quadruple(a: int, b: int, c: int, d: int) -> TauQuadruple:
+    """TauQuadruple(a, b, c, d) without __post_init__, for streams that make
+    only valid quadruples. It sets the fields as the generated __init__ does,
+    so the object is laid out, compared, hashed and pickled like one built by
+    the checked constructor."""
+    q = object.__new__(TauQuadruple)
+    object.__setattr__(q, "a", a)
+    object.__setattr__(q, "b", b)
+    object.__setattr__(q, "c", c)
+    object.__setattr__(q, "d", d)
+    return q
+
+
 @dataclass(frozen=True)
 class WrPair:
     a: int
@@ -89,8 +102,12 @@ def classify(q: TauQuadruple) -> ClassKind:
 
 
 def max_height(q: TauQuadruple) -> int:
-    """Naive maximum height max{|a|, |b|, |c|, |d|}."""
-    return max(abs(q.a), abs(q.b), abs(q.c), abs(q.d))
+    """Naive maximum height max{|a|, |b|, |c|, |d|}.
+
+    Every TauQuadruple has 0 <= 2a <= b and c, d >= 1, so this is
+    max{b, c, d}.
+    """
+    return max(q.b, q.c, q.d)
 
 
 def wr_pair_to_quadruple(p: WrPair) -> TauQuadruple:

@@ -1,6 +1,8 @@
+import inspect
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 from itertools import combinations
@@ -28,6 +30,24 @@ def scan_quadruples(T: int, semistable: bool) -> set[TauQuadruple]:
                     if gcd(c, d) == 1 and c * b * b >= d * (b * b - a * a):
                         out.add(TauQuadruple(a, b, c, d))
     return out
+
+
+def gcd_stream(set_id: ClassSetId, T: int):
+    """The stream that the row-sliced enumeration replaced, kept as an oracle:
+    a gcd test per candidate c and a validated TauQuadruple per item."""
+    a_arr, b_arr = census._coprime_pairs(T)
+    pairs = zip(a_arr.tolist(), b_arr.tolist())
+    if set_id is ClassSetId.WELL_ROUNDED:
+        for a, b in pairs:
+            yield WrPair(a, b)
+        return
+    semistable = set_id is ClassSetId.SEMISTABLE
+    for a, b in pairs:
+        for d in range(1, T + 1):
+            hi = d if semistable else T
+            for c in range(census.c_lower(a, b, d), hi + 1):
+                if math.gcd(c, d) == 1:
+                    yield TauQuadruple(a, b, c, d)
 
 
 def moebius_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
@@ -141,6 +161,27 @@ class TestEnumerate:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             list(census.enumerate_classes(ClassSetId.ALL, 0))
+
+    def test_is_a_generator_function(self):
+        # bench/tracer.py times a stream per next() only when it is one
+        assert inspect.isgeneratorfunction(census.enumerate_classes)
+
+    def test_rejects_unknown_set(self):
+        with pytest.raises(ValueError, match="unknown class set"):
+            list(census.enumerate_classes("all", 5))
+
+    def test_equals_gcd_stream(self):
+        # The oracle builds every item with the checked TauQuadruple(a, b, c,
+        # d), so equal lists mean each item equals its checked twin.
+        for T in [*range(1, 26), 30]:
+            for set_id in ClassSetId:
+                got = list(census.enumerate_classes(set_id, T))
+                want = list(gcd_stream(set_id, T))
+                assert got == want, (T, set_id)
+                assert list(map(hash, got)) == list(map(hash, want))
+                assert list(map(repr, got)) == list(map(repr, want))
+                if T == 30:
+                    assert pickle.loads(pickle.dumps(got)) == want
 
 
 class TestCounters:
@@ -281,6 +322,10 @@ class TestMainTermsAndReport:
         r50, r400 = census.census_report([50, 400], TABLES)
         assert r400.rel_dev1 < r50.rel_dev1
         assert r400.rel_dev3 < r50.rel_dev3
+
+    def test_report_rejects_no_heights(self):
+        with pytest.raises(ValueError, match="at least one height"):
+            census.census_report([], TABLES)
 
     def test_csv_format(self):
         buf = io.StringIO()

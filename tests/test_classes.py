@@ -68,6 +68,11 @@ class TestHeights:
         assert classes.max_height(TauQuadruple(1, 2, 3, 4)) == 4
         assert classes.max_height(TauQuadruple(0, 1, 1, 1)) == 1
         assert classes.max_height(TauQuadruple(1, 2, 4, 5)) == 5
+        from latsim import census
+        from latsim.census import ClassSetId
+        for q in census.enumerate_classes(ClassSetId.ALL, 12):
+            assert classes.max_height(q) == max(abs(q.a), abs(q.b),
+                                                abs(q.c), abs(q.d))
 
     def test_weil_height_bound_examples(self):
         assert classes.weil_height_bound(TauQuadruple(0, 1, 1, 1)) == 1
