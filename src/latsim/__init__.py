@@ -2,7 +2,7 @@
 enumeration, counting, heights, and j-invariants."""
 
 from .arith import (SieveTables, build_sieve, coprime_count_range,
-                    phi_restricted, phi_sum, restricted_power_sum)
+                    phi_restricted)
 from .census import (ClassSetId, CountReport, census_report, count_bruteforce,
                      count_fast, enumerate_classes, haar_volumes, main_terms,
                      write_census_csv)

@@ -6,7 +6,7 @@ Provides:
   sums of phi
 - Restricted totient phi_{alpha,beta}(n) on open intervals (alpha*n, beta*n)
 - Coprime counting on closed integer ranges via Mobius inclusion-exclusion
-  over the signed squarefree divisors of n, memoised per n and sieve
+  over the signed squarefree divisors of n, memoised per n
 - Power sums of residues coprime to b restricted to [1, b/2]
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,8 @@ class SieveTables:
 
     Arrays have length bound+1 and are indexed directly by n; index 0 is a
     sentinel. Immutable after construction and safe to share across threads.
-    Equality and hash are by identity, so a sieve can key a cache.
+    Equality and hash are by identity: the generated ones would compare and
+    hash the arrays, which numpy refuses.
     """
 
     bound: int
@@ -41,8 +42,8 @@ class SieveTables:
     phi_prefix: np.ndarray # phi_prefix[n] = sum_{k<=n} phi(k), int64
 
     def __post_init__(self):
-        # equality and hash are by identity, not by the arrays' values; lock
-        # the arrays so that a sieve keying a cache entry never changes
+        # lock the arrays so that every holder of a shared sieve reads the
+        # same tables
         for arr in (self.spf, self.mu, self.phi, self.omega,
                     self.divcount, self.phi_prefix):
             arr.setflags(write=False)
@@ -94,32 +95,20 @@ def build_sieve(bound: int) -> SieveTables:
                        divcount=divcount, phi_prefix=phi_prefix)
 
 
-def distinct_primes(n: int, tables: SieveTables | None = None) -> list[int]:
-    """Distinct prime factors of n, increasing.
-
-    Walks the smallest-prime-factor table when `tables` covers n, and falls
-    back to trial division otherwise.
-    """
+def distinct_primes(n: int) -> list[int]:
+    """Distinct prime factors of n, increasing, by trial division."""
     if n < 1:
         raise ValueError("n must be >= 1")
     primes = []
-    if tables is not None and n <= tables.bound:
-        while n > 1:
-            p = int(tables.spf[n])
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
             primes.append(p)
             while n % p == 0:
                 n //= p
-        return primes
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
         p += 1 if p == 2 else 2
-    if m > 1:
-        primes.append(m)
+    if n > 1:
+        primes.append(n)
     return primes
 
 
@@ -136,25 +125,21 @@ def _squarefree_divisors(primes: Sequence[int]) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=64)
-def _signed_divisors(n: int, tables: SieveTables | None
-                     ) -> tuple[tuple[int, int], ...]:
-    """_squarefree_divisors of n's distinct primes, memoised per (n, tables).
+def _signed_divisors(n: int) -> tuple[tuple[int, int], ...]:
+    """_squarefree_divisors of n's distinct primes, memoised per n.
 
-    Callers that count many ranges against one n factor it once. The bound
-    is small because each entry keeps its sieve alive.
+    Callers that count many ranges against one n factor it once.
     """
-    return tuple(_squarefree_divisors(distinct_primes(n, tables)))
+    return tuple(_squarefree_divisors(distinct_primes(n)))
 
 
-def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
-                   tables: SieveTables | None = None) -> int:
+def phi_restricted(alpha: Fraction, beta: Fraction, n: int) -> int:
     """Count integers k in the open interval (alpha*n, beta*n) coprime to n.
 
     Requires 0 <= alpha < beta <= 1. Open-interval semantics: integer
     endpoints alpha*n, beta*n are excluded, so the count runs over the
-    closed range [floor(alpha*n) + 1, ceil(beta*n) - 1]. Passing sieve
-    tables skips the trial-division factorization of n; repeated calls with
-    the same n and tables reuse its memoised signed divisors.
+    closed range [floor(alpha*n) + 1, ceil(beta*n) - 1]. Repeated calls with
+    the same n reuse its memoised signed divisors.
     """
     if not isinstance(alpha, (int, Fraction)):
         alpha = Fraction(alpha)
@@ -169,23 +154,10 @@ def phi_restricted(alpha: Fraction, beta: Fraction, n: int,
         raise ValueError("n must be >= 1")
     lo = an * n // ad + 1
     hi = -(-bn * n // bd) - 1
-    return coprime_count_range(lo, hi, n, tables)
+    return coprime_count_range(lo, hi, n)
 
 
-def phi_restricted_scan(alpha: Fraction, beta: Fraction, n: int) -> int:
-    """Direct-scan reference for phi_restricted (independent oracle)."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if not (0 <= alpha < beta <= 1):
-        raise ValueError("need 0 <= alpha < beta <= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lo, hi = alpha * n, beta * n
-    return sum(1 for k in range(0, n + 1) if lo < k < hi and gcd(k, n) == 1)
-
-
-def coprime_count_range(lo: int, hi: int, n: int,
-                        tables: SieveTables | None = None) -> int:
+def coprime_count_range(lo: int, hi: int, n: int) -> int:
     """Count integers k in [lo, hi] with gcd(k, n) = 1.
 
     Empty ranges (hi = lo - 1) are allowed and return 0.
@@ -197,23 +169,9 @@ def coprime_count_range(lo: int, hi: int, n: int,
     if lo > hi:
         return 0
     total = 0
-    for e, mu_e in _signed_divisors(n, tables):
+    for e, mu_e in _signed_divisors(n):
         total += mu_e * (hi // e - (lo - 1) // e)
     return total
-
-
-def coprime_count_scan(lo: int, hi: int, n: int) -> int:
-    """Direct-scan reference for coprime_count_range."""
-    return sum(1 for k in range(lo, hi + 1) if gcd(k, n) == 1)
-
-
-def restricted_power_sum(b: int, j: int) -> int:
-    """Sum of a**j over 1 <= a <= b//2 with gcd(a, b) = 1, exact."""
-    if b < 2:
-        raise ValueError("b must be >= 2")
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return sum(a ** j for a in range(1, b // 2 + 1) if gcd(a, b) == 1)
 
 
 def power_sum_tables(bmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,16 +200,3 @@ def power_sum_tables(bmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             for j, (s, fj) in enumerate(zip(sums, f)):
                 s[e::e] += mu[e] * e ** j * fj[1:k]
     return sums
-
-
-def _check_T(T: int, tables: SieveTables) -> None:
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if T > tables.bound:
-        raise ValueError(f"T={T} exceeds sieve bound {tables.bound}")
-
-
-def phi_sum(tables: SieveTables, T: int) -> int:
-    """Exact sum of phi(n) for n <= T."""
-    _check_T(T, tables)
-    return int(tables.phi_prefix[T])

@@ -6,8 +6,9 @@ Three families:
 - Well-rounded classes (pairs (a, b), counted by b <= T, plus the square
   lattice class (0, 1))
 
-count_bruteforce enumerates; count_fast is one Farey-pair count in
-O(T^2 log T) and must agree with it everywhere both run. Main terms:
+count_bruteforce enumerates; count_fast reads N3 off Phi(T) and N1, N2 off
+one Farey-pair count in O(T^2 log T), and must agree with it everywhere both
+run. Main terms:
   N1 ~ 39 T^4 / (8 pi^4),  N2 ~ 3 T^4 / (8 pi^4),  N3 ~ 3 T^2 / (2 pi^2).
 """
 
@@ -124,32 +125,44 @@ def count_bruteforce(set_id: ClassSetId, T: int) -> int:
     return sum(1 for _ in enumerate_classes(set_id, T))
 
 
+def _sieve_for(Ts: Sequence[int], tables: SieveTables | None) -> SieveTables:
+    """`tables`, or a sieve to max(Ts) if none is given, once every T in Ts
+    is at least 1 and within the sieve's bound."""
+    if min(Ts) < 1:
+        raise ValueError("T must be >= 1")
+    if tables is None:
+        return build_sieve(max(Ts))
+    if max(Ts) > tables.bound:
+        raise ValueError(f"T={max(Ts)} exceeds sieve bound {tables.bound}")
+    return tables
+
+
 def count_fast(set_id: ClassSetId, T: int,
                tables: SieveTables | None = None) -> int:
     """Exact class count at height T without enumeration, in O(T^2 log T).
 
+    With Phi(T) = phi(1) + ... + phi(T), N3(T) = floor(Phi(T)/2) + 1: phi(b)
+    is even for b >= 3 and a <-> b - a pairs its residues, while b = 1 and
+    b = 2 add one class each. N3 is also the number P of pairs.
+
     For a pair (a, b) with r = a^2/b^2 <= 1/4, the c coprime to d in
     [d - floor(d r), d - 1] are the c = d - k, one for each Farey fraction
-    k/d <= r of order T; as 1 <= 4k <= d, k/d is itself a pair. So with P
-    pairs, Phi(T) = phi(1) + ... + phi(T) and V from _farey_count:
+    k/d <= r of order T; as 1 <= 4k <= d, k/d is itself a pair. So with V
+    from _farey_count:
     N2(T) = P + V (c = d = 1 adds one class per pair) and
     N1(T) = P * Phi(T) + V (per pair the c <= T coprime to d give
     2 Phi(T) - 1, and those below the range Phi(T) - 1 less its share of V).
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
     if set_id is not ClassSetId.WELL_ROUNDED and T > MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
-    if tables is None:
-        tables = build_sieve(T)
-    if T > tables.bound:
-        raise ValueError(f"T={T} exceeds sieve bound {tables.bound}")
-
+    tables = _sieve_for((T,), tables)
+    phi_sum = int(tables.phi_prefix[T])
     if set_id is ClassSetId.WELL_ROUNDED:
-        return 1 + int(((tables.phi[2:T + 1] + 1) // 2).sum())
-
-    n1, n2 = _quadruple_counts(T, tables)
-    return n2 if set_id is ClassSetId.SEMISTABLE else n1
+        return phi_sum // 2 + 1
+    pairs, v = _farey_count(T, tables)
+    if set_id is ClassSetId.SEMISTABLE:
+        return pairs + v
+    return pairs * phi_sum + v
 
 
 def _farey_count(T: int, tables: SieveTables) -> tuple[int, int]:
@@ -173,12 +186,6 @@ def _farey_count(T: int, tables: SieveTables) -> tuple[int, int]:
     return keys.size, keys.size * ys.size - int(below.sum())
 
 
-def _quadruple_counts(T: int, tables: SieveTables) -> tuple[int, int]:
-    """(N1(T), N2(T)) = (P * Phi(T) + V, P + V); the caller checks the bound."""
-    pairs, v = _farey_count(T, tables)
-    return pairs * int(tables.phi_prefix[T]) + v, pairs + v
-
-
 def main_terms(T: int) -> tuple[float, float, float]:
     """Leading asymptotic terms (39T^4/(8pi^4), 3T^4/(8pi^4), 3T^2/(2pi^2))."""
     if T < 1:
@@ -196,13 +203,14 @@ def census_report(Ts: Sequence[int], tables: SieveTables | None = None
         raise ValueError("census_report needs at least one height T")
     if max(Ts) > MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
-    if tables is None:
-        tables = build_sieve(max(Ts))
+    tables = _sieve_for(Ts, tables)
     reports = []
     for T in Ts:
-        # checks T >= 1 and the sieve bound for the quadruple sets too
-        n3 = count_fast(ClassSetId.WELL_ROUNDED, T, tables)
-        n1, n2 = _quadruple_counts(T, tables)
+        # n3 from the totients, not from the kernel's pair count: verify's
+        # N1 - N2 = N3 (Phi(T) - 1) check compares the two
+        phi_sum = int(tables.phi_prefix[T])
+        pairs, v = _farey_count(T, tables)
+        n1, n2, n3 = pairs * phi_sum + v, pairs + v, phi_sum // 2 + 1
         m1, m2, m3 = main_terms(T)
         reports.append(CountReport(
             T=T, n1=n1, n2=n2, n3=n3, main1=m1, main2=m2, main3=m3,

@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count classes of height <= T")
     p.add_argument("--set", choices=SET_IDS, required=True)
     p.add_argument("--max-height", type=int, required=True, metavar="T")
-    p.add_argument("--method", choices=("fast", "bruteforce"), default="fast")
 
     p = sub.add_parser("enumerate", help="stream classes of height <= T")
     p.add_argument("--set", choices=SET_IDS, required=True)
@@ -92,11 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    set_id = SET_IDS[args.set]
-    if args.method == "bruteforce":
-        print(census.count_bruteforce(set_id, args.max_height))
-        return 0
-    print(census.count_fast(set_id, args.max_height))
+    print(census.count_fast(SET_IDS[args.set], args.max_height))
     return 0
 
 

@@ -32,6 +32,9 @@ Check = tuple[str, bool, str]
 
 DEFAULT_SEED = 20260823
 
+# verify_euler's bound on |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4)
+POWER_SUM_CONSTANT = 4.0
+
 
 def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
     """count_bruteforce(set_id, T) for every T <= max_T from one enumeration.
@@ -83,7 +86,7 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
 
     # the kernel's pair count P against N3 from the totients; at T <= 400 the
     # kernel's arrays stay below the peak memory of the other suites
-    split = [(r.n1 - r.n2, r.n3 * (arith.phi_sum(tables, r.T) - 1))
+    split = [(r.n1 - r.n2, r.n3 * (int(tables.phi_prefix[r.T]) - 1))
              for r in census.census_report((100, 200, 400), tables)]
     checks.append(("N1 - N2 = N3 (Phi(T) - 1) at T = 100, 200, 400",
                    all(x == y for x, y in split),
@@ -152,10 +155,10 @@ def _sample_pair(rng: random.Random, m: int) -> tuple[int, int]:
 
 
 def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
-                 pairs_per_n: int = 20, seed: int = DEFAULT_SEED,
-                 power_sum_constant: float = 4.0) -> list[Check]:
+                 pairs_per_n: int = 20, seed: int = DEFAULT_SEED
+                 ) -> list[Check]:
     checks: list[Check] = []
-    # the last check reads phi_sum up to T = 10^4 whatever nmax and bmax are
+    # the last check reads Phi(T) up to T = 10^4 whatever nmax and bmax are
     tables = arith.build_sieve(max(nmax, bmax, 10_000))
     rng = random.Random(seed)
     # the endpoints k/den, built once: ranges[den][k] = Fraction(k, den)
@@ -170,8 +173,7 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
         for _ in range(pairs_per_n):
             den = rng.randint(2, 64)
             lo, hi = _sample_pair(rng, den + 1)
-            got = arith.phi_restricted(ranges[den][lo], ranges[den][hi],
-                                       n, tables)
+            got = arith.phi_restricted(ranges[den][lo], ranges[den][hi], n)
             # |got - (hi - lo)/den * phi(n)| - 2^omega(n), scaled by den
             excess = abs(got * den - (hi - lo) * phi_n) - two_om * den
             worst_excess = max(worst_excess, excess / den)
@@ -197,13 +199,15 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
         main = Fraction(phi_b * b * b, 24)
         dev = abs(Fraction(int(s2[b])) - main) / Fraction(two_om * b * b, 4)
         worst = max(worst, float(dev))
-    checks.append((f"power-sum S2(b) error constant <= {power_sum_constant:g}, "
-                   f"b <= {bmax}", worst <= power_sum_constant,
+    checks.append((f"power-sum S2(b) error constant <= "
+                   f"{POWER_SUM_CONSTANT:g}, b <= {bmax}",
+                   worst <= POWER_SUM_CONSTANT,
                    f"measured max {worst:.6f}"))
 
     devs = []
     for T in (100, 1000, 10_000):
-        devs.append(abs(arith.phi_sum(tables, T) * math.pi ** 2 / (3 * T * T) - 1))
+        devs.append(abs(int(tables.phi_prefix[T]) * math.pi ** 2
+                        / (3 * T * T) - 1))
     checks.append(("phi_sum(T) pi^2/(3T^2) -> 1 along T = 1e2, 1e3, 1e4",
                    devs[0] > devs[1] > devs[2],
                    " -> ".join(f"{d:.5f}" for d in devs)))

@@ -10,6 +10,22 @@ from latsim import arith
 TABLES = arith.build_sieve(10_000)
 
 
+def phi_restricted_scan(alpha: Fraction, beta: Fraction, n: int) -> int:
+    """Direct-scan reference for phi_restricted (independent oracle)."""
+    lo, hi = Fraction(alpha) * n, Fraction(beta) * n
+    return sum(1 for k in range(0, n + 1) if lo < k < hi and gcd(k, n) == 1)
+
+
+def coprime_count_scan(lo: int, hi: int, n: int) -> int:
+    """Direct-scan reference for coprime_count_range."""
+    return sum(1 for k in range(lo, hi + 1) if gcd(k, n) == 1)
+
+
+def restricted_power_sum(b: int, j: int) -> int:
+    """Sum of a**j over 1 <= a <= b//2 with gcd(a, b) = 1, exact."""
+    return sum(a ** j for a in range(1, b // 2 + 1) if gcd(a, b) == 1)
+
+
 def linear_sieve(n: int) -> dict[str, np.ndarray]:
     """Reference tables from the linear (spf-driven) sieve, one i at a time."""
     spf = np.zeros(n + 1, dtype=np.int64)
@@ -146,7 +162,7 @@ class TestPhiRestricted:
             for b in grid:
                 if 0 <= a < b <= 1:
                     assert arith.phi_restricted(a, b, 12) == \
-                        arith.phi_restricted_scan(a, b, 12)
+                        phi_restricted_scan(a, b, 12)
                 else:
                     with pytest.raises(ValueError):
                         arith.phi_restricted(a, b, 12)
@@ -164,7 +180,7 @@ class TestPhiRestricted:
             lo, hi = sorted(rng.sample(range(den + 1), 2))
             a, b = Fraction(lo, den), Fraction(hi, den)
             assert arith.phi_restricted(a, b, n) == \
-                arith.phi_restricted_scan(a, b, n)
+                phi_restricted_scan(a, b, n)
 
     def test_tables_equal_scan_up_to_ten_thousand(self):
         # integer endpoints alpha*n, beta*n must be excluded exactly
@@ -176,8 +192,8 @@ class TestPhiRestricted:
             dlo, dhi = sorted(rng.sample(range(den + 1), 2))
             for a, b in ((Fraction(lo, n), Fraction(hi, n)),
                          (Fraction(dlo, den), Fraction(dhi, den))):
-                assert arith.phi_restricted(a, b, n, TABLES) == \
-                    arith.phi_restricted_scan(a, b, n)
+                assert arith.phi_restricted(a, b, n) == \
+                    phi_restricted_scan(a, b, n)
 
     def test_two_sided_totient_bound(self):
         # sampled version of the full-range acceptance check
@@ -189,7 +205,7 @@ class TestPhiRestricted:
                 den = rng.randint(2, 32)
                 lo, hi = sorted(rng.sample(range(den + 1), 2))
                 a, b = Fraction(lo, den), Fraction(hi, den)
-                got = arith.phi_restricted(a, b, n, TABLES)
+                got = arith.phi_restricted(a, b, n)
                 assert abs(got - (b - a) * phi_n) <= two_om
 
 
@@ -198,32 +214,35 @@ class TestSignedDivisorMemo:
         calls = []
         distinct_primes = arith.distinct_primes
 
-        def counting(n, tables=None):
+        def counting(n):
             calls.append(n)
-            return distinct_primes(n, tables)
+            return distinct_primes(n)
 
         monkeypatch.setattr(arith, "distinct_primes", counting)
-        tables = arith.build_sieve(100)  # a fresh sieve misses the memo
+        arith._signed_divisors.cache_clear()
         n = 60
         for k in range(20):
             a, b = Fraction(k, 40), Fraction(k + 20, 40)
-            assert arith.phi_restricted(a, b, n, tables) == \
-                arith.phi_restricted_scan(a, b, n)
+            assert arith.phi_restricted(a, b, n) == \
+                phi_restricted_scan(a, b, n)
         assert calls == [n]
 
 
 class TestDistinctPrimes:
     def test_table_walk_equals_trial_division(self):
-        small = arith.build_sieve(100)  # n > 100 takes the fallback
         for n in range(1, 10_001):
-            want = arith.distinct_primes(n)
-            assert arith.distinct_primes(n, TABLES) == want
-            assert arith.distinct_primes(n, small) == want
+            want, m = [], n
+            while m > 1:  # walk the smallest-prime-factor table
+                p = int(TABLES.spf[m])
+                want.append(p)
+                while m % p == 0:
+                    m //= p
+            assert arith.distinct_primes(n) == want, n
 
 
 class TestSquarefreeDivisors:
     def test_signed_divisors_equal_mobius(self):
-        assert arith._squarefree_divisors(arith.distinct_primes(1, TABLES)) \
+        assert arith._squarefree_divisors(arith.distinct_primes(1)) \
             == [(1, 1)]
         mu = TABLES.mu
         want = [set() for _ in range(10_001)]
@@ -232,7 +251,7 @@ class TestSquarefreeDivisors:
                 for n in range(e, 10_001, e):
                     want[n].add((e, int(mu[e])))
         for n in range(1, 10_001):
-            divs = arith._squarefree_divisors(arith.distinct_primes(n, TABLES))
+            divs = arith._squarefree_divisors(arith.distinct_primes(n))
             assert len(divs) == len(want[n]) and set(divs) == want[n], n
 
 
@@ -253,29 +272,29 @@ class TestCoprimeCountRange:
             lo = rng.randint(0, 300)
             hi = lo + rng.randint(-1, 100)
             assert arith.coprime_count_range(lo, hi, n) == \
-                arith.coprime_count_scan(lo, hi, n)
+                coprime_count_scan(lo, hi, n)
 
 
 class TestRestrictedPowerSum:
     def test_examples(self):
-        assert arith.restricted_power_sum(2, 2) == 1
-        assert arith.restricted_power_sum(10, 2) == 10
-        assert arith.restricted_power_sum(7, 0) == 3
+        assert restricted_power_sum(2, 2) == 1
+        assert restricted_power_sum(10, 2) == 10
+        assert restricted_power_sum(7, 0) == 3
 
     def test_matches_vectorized_tables(self):
         s0, s1, s2 = arith.power_sum_tables(300)
         for b in range(2, 301):
-            assert arith.restricted_power_sum(b, 0) == int(s0[b])
-            assert arith.restricted_power_sum(b, 1) == int(s1[b])
-            assert arith.restricted_power_sum(b, 2) == int(s2[b])
+            assert restricted_power_sum(b, 0) == int(s0[b])
+            assert restricted_power_sum(b, 1) == int(s1[b])
+            assert restricted_power_sum(b, 2) == int(s2[b])
 
     def test_sieve_tables_equal_direct_scan(self):
         s0, s1, s2 = arith.power_sum_tables(5000)
         rng = random.Random(23)
         for b in list(range(2, 301)) + rng.sample(range(301, 5001), 200):
-            assert arith.restricted_power_sum(b, 0) == int(s0[b])
-            assert arith.restricted_power_sum(b, 1) == int(s1[b])
-            assert arith.restricted_power_sum(b, 2) == int(s2[b])
+            assert restricted_power_sum(b, 0) == int(s0[b])
+            assert restricted_power_sum(b, 1) == int(s1[b])
+            assert restricted_power_sum(b, 2) == int(s2[b])
 
     def test_rejects_bmax_beyond_int64_range(self):
         with pytest.raises(ValueError):
@@ -288,7 +307,7 @@ class TestRestrictedPowerSum:
             phi_b = int(TABLES.phi[b])
             two_om = 1 << int(TABLES.omega[b])
             for j in (0, 1, 2):
-                s = arith.restricted_power_sum(b, j)
+                s = restricted_power_sum(b, j)
                 main = Fraction(phi_b * b ** j, (j + 1) * 2 ** (j + 1))
                 scale = Fraction(two_om * b ** j, 2 ** j)
                 worst = max(worst, abs(s - main) / scale)
@@ -297,13 +316,8 @@ class TestRestrictedPowerSum:
 
 class TestSums:
     def test_phi_sum(self):
-        assert arith.phi_sum(TABLES, 10) == 32
-        assert arith.phi_sum(TABLES, 1) == 1
-
-    def test_rejects_T_beyond_bound(self):
-        small = arith.build_sieve(5)
-        with pytest.raises(ValueError):
-            arith.phi_sum(small, 6)
+        assert TABLES.phi_prefix[10] == 32
+        assert TABLES.phi_prefix[1] == 1
 
     def test_two_omega_le_divcount_le_sqrt3n(self):
         for n in range(1, 10_001):
@@ -313,6 +327,6 @@ class TestSums:
 
     def test_phi_sum_ratio_converges(self):
         import math
-        devs = [abs(arith.phi_sum(TABLES, T) * math.pi ** 2 / (3 * T * T) - 1)
+        devs = [abs(int(TABLES.phi_prefix[T]) * math.pi ** 2 / (3 * T * T) - 1)
                 for T in (100, 1000, 10_000)]
         assert devs[0] > devs[1] > devs[2]

@@ -67,7 +67,7 @@ def moebius_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
     for d in range(1, T + 1):
         lo_minus_1 = (d * k + bsq - 1) // bsq - 1
         hi = d if semistable else T
-        primes = arith.distinct_primes(d, tables)
+        primes = arith.distinct_primes(d)
         for r in range(len(primes) + 1):
             for combo in combinations(primes, r):
                 e = prod(combo)
@@ -253,8 +253,24 @@ class TestCounters:
 
     def test_sieve_bound_enforced(self):
         small = arith.build_sieve(10)
-        with pytest.raises(ValueError):
-            census.count_fast(ClassSetId.ALL, 11, small)
+        for set_id in ClassSetId:
+            with pytest.raises(ValueError, match="exceeds sieve bound"):
+                census.count_fast(set_id, 11, small)
+        with pytest.raises(ValueError, match="exceeds sieve bound"):
+            census.census_report([5, 11], small)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            census.census_report([0, 5], small)
+
+    def test_wr_count_is_half_the_totient_sum(self):
+        # N3(T) = floor(Phi(T)/2) + 1 against the per-b sum it replaced and
+        # against the number P(T) of pairs with b <= T, at every T <= 3000
+        tables = arith.build_sieve(3000)
+        _, b = census._coprime_pairs(3000)
+        pairs = np.cumsum(np.bincount(b, minlength=3001))
+        per_b = 1 + np.cumsum((tables.phi + 1) // 2 * (np.arange(3001) >= 2))
+        for T in range(1, 3001):
+            n3 = census.count_fast(ClassSetId.WELL_ROUNDED, T, tables)
+            assert n3 == per_b[T] == pairs[T], T
 
     def test_counts_nondecreasing_and_ordered(self):
         prev = (0, 0, 0)
@@ -275,7 +291,7 @@ class TestCounters:
         for T in (10, 25, 40):
             a_arr, _ = census._coprime_pairs(T)
             extra = a_arr.size * sum(
-                arith.coprime_count_range(d + 1, T, d, TABLES)
+                arith.coprime_count_range(d + 1, T, d)
                 for d in range(1, T + 1))
             assert census.count_fast(ClassSetId.ALL, T, TABLES) == \
                 census.count_fast(ClassSetId.SEMISTABLE, T, TABLES) + extra
@@ -316,6 +332,8 @@ class TestMainTermsAndReport:
         for r in reports:
             assert r.n1 == census.count_fast(ClassSetId.ALL, r.T, TABLES)
             assert r.n2 == census.count_fast(ClassSetId.SEMISTABLE, r.T, TABLES)
+            assert r.n3 == census.count_fast(ClassSetId.WELL_ROUNDED, r.T,
+                                             TABLES)
 
     def test_deviation_shrinks_over_wide_span(self):
         # magnitudes oscillate locally; compare well-separated heights

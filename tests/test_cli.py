@@ -17,11 +17,6 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--set", "all", "--max-height", "2")
         assert code == 0 and out.strip() == "4"
 
-    def test_bruteforce(self, capsys):
-        code, out, _ = run(capsys, "count", "--set", "wr", "--max-height", "10",
-                           "--method", "bruteforce")
-        assert code == 0 and out.strip() == "17"
-
 
 class TestEnumerate:
     def test_jsonl_roundtrip_through_classify(self, capsys):
