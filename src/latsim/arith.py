@@ -21,6 +21,9 @@ from typing import Sequence
 import numpy as np
 
 MAX_POWER_SUM_B = 10 ** 6
+# Largest sieve bound, refused before any table is allocated: a sieve to
+# 10^7 peaks at about 360 MB, and no count or check needs a larger one.
+MAX_SIEVE_BOUND = 10 ** 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +63,8 @@ def build_sieve(bound: int) -> SieveTables:
     """
     if bound < 1:
         raise ValueError("sieve bound must be >= 1")
+    if bound > MAX_SIEVE_BOUND:
+        raise ValueError(f"sieve bound {bound} exceeds {MAX_SIEVE_BOUND}")
     n = bound
     spf = np.arange(n + 1, dtype=np.int64)
     for p in range(2, isqrt(n) + 1):

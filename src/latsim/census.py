@@ -17,8 +17,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
@@ -84,38 +84,62 @@ def _coprime_pairs(T: int, tables: SieveTables | None = None
     return a, np.repeat(rows, np.count_nonzero(mask, axis=1))
 
 
+def _class_blocks(set_id: ClassSetId, T: int
+                  ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (a, b, c, d) for each coprime pair (a, b) of _coprime_pairs(T),
+    with c, d the int64 columns of that pair's quadruples of height <= T in
+    the set all or semistable, ordered by (d, c).
+
+    Row d of a (T+1) x (T+2) table marks the c in [1, T] (in [1, d] if
+    semistable) coprime to d; its running count locates, for each d, the
+    first marked c >= c_lower(a, b, d), and one np.repeat gathers the tails
+    of the rows from there. So every quadruple is valid without a check of
+    its own: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
+    _coprime_pairs; gcd(c, d) = 1 and c >= 1 because c is marked in row d;
+    and c * b^2 >= d * (b^2 - a^2) because c >= c_lower(a, b, d).
+    """
+    a_arr, b_arr = _coprime_pairs(T)
+    ds = np.arange(1, T + 1)
+    # marked[d, c]; row 0 and the columns 0 and T + 1 stay empty
+    marked = np.zeros((T + 1, T + 2), dtype=bool)
+    marked[1:, 1:T + 1] = np.gcd.outer(ds, ds) == 1
+    if set_id is ClassSetId.SEMISTABLE:
+        marked = np.tril(marked)
+    flat_d, flat_c = np.nonzero(marked)
+    # first[d, c]: the marked entries before (d, c) in row-major order
+    first = np.cumsum(marked).reshape(marked.shape) - marked
+    ends = first[ds, T + 1]
+    for a, b in zip(a_arr.tolist(), b_arr.tolist()):
+        bsq = b * b
+        starts = first[ds, -((-ds * (bsq - a * a)) // bsq)]
+        lengths = ends - starts
+        offsets = np.cumsum(lengths) - lengths
+        idx = np.arange(offsets[-1] + lengths[-1])
+        idx += np.repeat(starts - offsets, lengths)
+        yield a, b, flat_c[idx], flat_d[idx]
+
+
 def enumerate_classes(set_id: ClassSetId, T: int
                       ) -> Iterator[Union[TauQuadruple, WrPair]]:
     """Yield every class of height <= T exactly once.
 
-    Quadruple sets stream lexicographically by (b, a, d, c); the well-rounded
-    set streams pairs by (b, a), starting with the extra class (0, 1).
-
-    The row of each d lists, once and increasing, the c in [1, T] (in [1, d]
-    if semistable) coprime to d; a pair (a, b) takes the tail of each row
-    from c_lower(a, b, d). So every quadruple is valid without a check of its
-    own: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
-    _coprime_pairs; gcd(c, d) = 1 and c >= 1 because c comes from the row of
-    d; and c * b^2 >= d * (b^2 - a^2) because c >= c_lower(a, b, d).
+    Quadruple sets stream lexicographically by (b, a, d, c), built from the
+    columns of _class_blocks without a validity check per item; the
+    well-rounded set streams pairs by (b, a), starting with the extra class
+    (0, 1).
     """
     if not isinstance(set_id, ClassSetId):
         raise ValueError(f"unknown class set {set_id!r}")
     if T < 1:
         raise ValueError("T must be >= 1")
-    a_arr, b_arr = _coprime_pairs(T)
-    pairs = zip(a_arr.tolist(), b_arr.tolist())
     if set_id is ClassSetId.WELL_ROUNDED:
-        for a, b in pairs:
+        a_arr, b_arr = _coprime_pairs(T)
+        for a, b in zip(a_arr.tolist(), b_arr.tolist()):
             yield WrPair(a, b)
         return
-    semistable = set_id is ClassSetId.SEMISTABLE
-    rows = [(d, [c for c in range(1, (d if semistable else T) + 1)
-                 if math.gcd(c, d) == 1])
-            for d in range(1, T + 1)]
-    for a, b in pairs:
-        for d, row in rows:
-            for c in row[bisect_left(row, c_lower(a, b, d)):]:
-                yield _trusted_quadruple(a, b, c, d)
+    for a, b, c, d in _class_blocks(set_id, T):
+        yield from map(_trusted_quadruple, repeat(a), repeat(b),
+                       c.tolist(), d.tolist())
 
 
 def count_bruteforce(set_id: ClassSetId, T: int) -> int:

@@ -39,19 +39,22 @@ POWER_SUM_CONSTANT = 4.0
 def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
     """count_bruteforce(set_id, T) for every T <= max_T from one enumeration.
 
-    enumerate_classes(set_id, T) yields exactly the classes of height <= T
-    among those of enumerate_classes(set_id, max_T), so binning one stream by
-    height and summing the bins gives every count.
+    Each class of height <= max_T lands in the bin of its own height, so the
+    running sums of the bins are the counts at every T. The quadruple sets
+    are binned by max(b, c, d) one column block of _class_blocks at a time.
     """
     if max_T > census.BRUTEFORCE_LIMIT:
         raise ValueError(
             f"brute-force counting capped at T={census.BRUTEFORCE_LIMIT}")
-    height = (classes.pair_height if set_id is ClassSetId.WELL_ROUNDED
-              else classes.max_height)
-    bins = [0] * (max_T + 1)
-    for cls in census.enumerate_classes(set_id, max_T):
-        bins[height(cls)] += 1
-    return list(accumulate(bins))
+    bins = np.zeros(max_T + 1, dtype=np.int64)
+    if set_id is ClassSetId.WELL_ROUNDED:
+        for p in census.enumerate_classes(set_id, max_T):
+            bins[classes.pair_height(p)] += 1
+    else:
+        for _, b, c, d in census._class_blocks(set_id, max_T):
+            bins += np.bincount(np.maximum(np.maximum(c, d), b),
+                                minlength=max_T + 1)
+    return list(accumulate(bins.tolist()))
 
 
 def verify_counts(oracle_max_T: int = 40) -> list[Check]:
@@ -354,14 +357,36 @@ def verify_reduction_invariance(n_points: int = 1000, max_word: int = 10,
              f"words", ok, "exact" if ok else f"failed at {bad}")]
 
 
+def _weil_ceilings(max_m: int) -> np.ndarray:
+    """classes.weil_height_ceiling at each height m <= max_m, by index.
+
+    Each entry is computed in Python as weil_height_ceiling computes it:
+    numpy's ** 1.5 can differ from Python's by one ulp.
+    """
+    return np.array([math.sqrt(5) / 2 * m ** 1.5 for m in range(max_m + 1)])
+
+
+def _weil_bounds(a: int, b: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """classes.weil_height_bound of each quadruple (a, b, c[i], d[i]).
+
+    a^2 d + b^2 c <= 2 m^3 is an exact int64 below 2^53 at any height
+    m < 160,000, so np.sqrt rounds the same float as math.sqrt.
+    """
+    return np.maximum(b * np.sqrt(d), np.sqrt(a * a * d + b * b * c))
+
+
 def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check]:
     checks: list[Check] = []
     ok = True
     bad = None
-    for q in census.enumerate_classes(ClassSetId.ALL, quadruple_height):
-        if classes.weil_height_bound(q) > classes.weil_height_ceiling(q) + 1e-9:
+    ceilings = _weil_ceilings(quadruple_height) + 1e-9
+    for a, b, c, d in census._class_blocks(ClassSetId.ALL, quadruple_height):
+        over = np.flatnonzero(_weil_bounds(a, b, c, d)
+                              > ceilings[np.maximum(np.maximum(c, d), b)])
+        if over.size:
             ok = False
-            bad = q
+            i = over[-1]
+            bad = classes.TauQuadruple(a, b, int(c[i]), int(d[i]))
     checks.append((f"weil_height_bound <= (sqrt5/2) m^(3/2), height <= "
                    f"{quadruple_height}", ok,
                    "exhaustive" if ok else f"violated at {bad}"))

@@ -6,12 +6,16 @@ oscillate around the main terms instead of decreasing strictly at the
 prescribed heights (see notes on the asymptotics suite).
 """
 
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from latsim import census, verify
+from latsim import census, classes, verify
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -37,17 +41,28 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_binned_oracle_equals_bruteforce_at_every_height(monkeypatch):
-    streams = []
-    enumerate_classes = census.enumerate_classes
+    # one enumeration per set: the pair stream for the well-rounded set, one
+    # run of the column builder for each quadruple set
+    streams, blocks = [], []
+    enumerate_classes, class_blocks = census.enumerate_classes, \
+        census._class_blocks
 
     def counted(set_id, T):
         streams.append((set_id, T))
         return enumerate_classes(set_id, T)
 
+    def counted_blocks(set_id, T):
+        blocks.append((set_id, T))
+        return class_blocks(set_id, T)
+
     monkeypatch.setattr(census, "enumerate_classes", counted)
+    monkeypatch.setattr(census, "_class_blocks", counted_blocks)
     prefixes = {set_id: verify._bruteforce_prefix_counts(set_id, 40)
                 for set_id in census.ClassSetId}
-    assert streams == [(set_id, 40) for set_id in census.ClassSetId]
+    WR = census.ClassSetId.WELL_ROUNDED
+    assert streams == [(WR, 40)]
+    assert blocks == [(set_id, 40) for set_id in census.ClassSetId
+                      if set_id is not WR]
     for set_id, prefix in prefixes.items():
         assert len(prefix) == 41 and prefix[0] == 0
         for T in [*range(1, 26), 40]:
@@ -161,3 +176,122 @@ def test_criterion_10_height_bounds():
     assert_checks("10. Weil-height bounds at quadruple height <= 50 and "
                   "WR pairs b <= 200",
                   verify.verify_heights(quadruple_height=50, wr_bmax=200))
+
+
+def heights_detail_per_object(quadruple_height):
+    """The bound-against-ceiling check as a loop over TauQuadruple objects,
+    kept as the oracle of verify_heights' column check."""
+    ok, bad = True, None
+    for q in census.enumerate_classes(census.ClassSetId.ALL, quadruple_height):
+        if classes.weil_height_bound(q) > classes.weil_height_ceiling(q) + 1e-9:
+            ok, bad = False, q
+    return "exhaustive" if ok else f"violated at {bad}"
+
+
+def test_height_columns_equal_per_object_bounds_bit_for_bit():
+    ceilings = verify._weil_ceilings(50)
+    for a, b, c, d in census._class_blocks(census.ClassSetId.ALL, 50):
+        qs = [classes.TauQuadruple(a, b, ci, di)
+              for ci, di in zip(c.tolist(), d.tolist())]
+        want_bound = np.array([classes.weil_height_bound(q) for q in qs])
+        want_ceiling = np.array([classes.weil_height_ceiling(q) for q in qs])
+        got_bound = verify._weil_bounds(a, b, c, d)
+        got_ceiling = ceilings[np.maximum(np.maximum(c, d), b)]
+        assert np.array_equal(got_bound.view(np.int64),
+                              want_bound.view(np.int64)), (a, b)
+        assert np.array_equal(got_ceiling.view(np.int64),
+                              want_ceiling.view(np.int64)), (a, b)
+
+
+def test_height_violation_names_the_same_class(monkeypatch):
+    # every class of height 37 is pushed over a ceiling of zero; both paths
+    # must report the last of them in stream order
+    name = "weil_height_bound <= (sqrt5/2) m^(3/2), height <= 40"
+    weil_ceilings = verify._weil_ceilings
+    weil_height_ceiling = classes.weil_height_ceiling
+
+    def lowered_table(max_m):
+        table = weil_ceilings(max_m)
+        table[37] = 0.0
+        return table
+
+    def lowered(q):
+        return 0.0 if classes.max_height(q) == 37 else weil_height_ceiling(q)
+
+    monkeypatch.setattr(verify, "_weil_ceilings", lowered_table)
+    monkeypatch.setattr(classes, "weil_height_ceiling", lowered)
+    checks = [c for c in verify.verify_heights(quadruple_height=40, wr_bmax=5)
+              if c[0] == name]
+    assert len(checks) == 1 and not checks[0][1], checks
+    detail = checks[0][2]
+    assert detail == heights_detail_per_object(40)
+    assert detail.startswith("violated at TauQuadruple(a=")
+    assert "np." not in detail
+
+
+def load_bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+PINNED_CHECKS = {
+    "counts": [
+        "count_fast == count_bruteforce",
+        "golden N1(1) = 1", "golden N1(2) = 4", "golden N2(2) = 2",
+        "golden N3(10) - 1 = 16", "golden N3(10) = 17",
+        "N1 - N2 = N3 (Phi(T) - 1) at T = 100, 200, 400"],
+    "asymptotics": [
+        "constant 39/(8 pi^4) = 0.05004666349...",
+        "constant 3/(8 pi^4) = 0.00384974334...",
+        "semi-stable fraction = 1/13 (~7.7%)",
+        "N1 relative deviation strictly decreases",
+        "N2 relative deviation strictly decreases",
+        "N1 deviation within log(T)/T envelope",
+        "N2 deviation within log(T)/T envelope"],
+    "euler": [
+        "|phi_ab(n) - (b-a)phi(n)| <= 2^omega(n), n <= 10000",
+        "2^omega(n) <= d(n) <= sqrt(3n), n <= 10000",
+        "power-sum S2(b) error constant <= 4, b <= 5000",
+        "phi_sum(T) pi^2/(3T^2) -> 1 along T = 1e2, 1e3, 1e4"],
+    "haar": [
+        "vol(F) = pi/6 within 1e-8",
+        "semi-stable volume = pi/6 - 1/2 within 1e-8",
+        "semi-stable fraction = 0.04507034144 within 1e-6"],
+    "modular": [
+        "j(i) = 1728 within 1e-9", "j(rho) = 0 within 1e-9",
+        "periodicity j(tau+1) = j(tau) within 1e-8 on 100 points",
+        "inversion j(-1/tau) = j(tau) within 1e-8 on 100 points",
+        "conjugation j(-conj(tau)) = conj(j(tau)) within 1e-8",
+        "boundary realness: max |Im j| < 1e-8 over 300 samples",
+        "interior control |Im j| > 1e-3",
+        "normalized j on the WR arc lies in [0,1]",
+        "normalized j strictly monotone along the arc",
+        "classify_by_j agrees with classify, height <= 20"],
+    "geometry": [
+        "classify matches geometric predicates, height <= 20",
+        "canonical_tau(Lambda_tau(q)) = (a/b, c/d), height <= 20"],
+    "reduction_invariance": [
+        "canonical_tau(Lambda_g(tau)) = tau on 1000 random words"],
+    "heights": [
+        "weil_height_bound <= (sqrt5/2) m^(3/2), height <= 50",
+        "WR height bound <= b for all pairs with b <= 200"],
+}
+
+
+def test_suite_check_names_are_pinned(monkeypatch):
+    # The benchmark's verify workload counts one operation per check, so a
+    # dropped, merged or newly failing check changes its failed share.
+    workloads = load_bench_workloads(monkeypatch)
+    failing = []
+    for suite, call in workloads.verify_calls(verify.DEFAULT_SEED):
+        checks = call()
+        assert [name for name, _, _ in checks] == PINNED_CHECKS[suite], suite
+        failing += [name for name, passed, _ in checks if not passed]
+    assert sum(map(len, PINNED_CHECKS.values())) == 36
+    assert failing == ["N1 relative deviation strictly decreases",
+                       "N2 relative deviation strictly decreases",
+                       "N1 deviation within log(T)/T envelope"]

@@ -17,6 +17,13 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--set", "all", "--max-height", "2")
         assert code == 0 and out.strip() == "4"
 
+    def test_wr_height_beyond_the_sieve_bound_is_a_usage_error(self, capsys):
+        # refused before the sieve's tables are allocated
+        code, out, err = run(capsys, "count", "--set", "wr",
+                             "--max-height", "1000000000")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: sieve bound 1000000000 exceeds 10000000"
+
 
 class TestEnumerate:
     def test_jsonl_roundtrip_through_classify(self, capsys):
