@@ -25,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .arith import SieveTables, build_sieve
-from .classes import TauQuadruple, WrPair, _trusted_quadruple
+from .classes import TauQuadruple, WrPair
 
 BRUTEFORCE_LIMIT = 60
 
@@ -58,8 +58,9 @@ class CountReport:
     rel_dev3: float
 
 
-def c_lower(a: int, b: int, d: int) -> int:
-    """Smallest admissible c for (a, b, d): ceil(d*(b^2 - a^2) / b^2)."""
+def c_lower(a: int, b: int, d: int | np.ndarray) -> int | np.ndarray:
+    """Smallest admissible c for (a, b, d): ceil(d*(b^2 - a^2) / b^2), for
+    each entry if d is an int64 array."""
     bsq = b * b
     return -((-d * (bsq - a * a)) // bsq)
 
@@ -93,10 +94,11 @@ def _class_blocks(set_id: ClassSetId, T: int
     Row d of a (T+1) x (T+2) table marks the c in [1, T] (in [1, d] if
     semistable) coprime to d; its running count locates, for each d, the
     first marked c >= c_lower(a, b, d), and one np.repeat gathers the tails
-    of the rows from there. So every quadruple is valid without a check of
-    its own: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
-    _coprime_pairs; gcd(c, d) = 1 and c >= 1 because c is marked in row d;
-    and c * b^2 >= d * (b^2 - a^2) because c >= c_lower(a, b, d).
+    of the rows from there. So every quadruple is valid, and the check of
+    TauQuadruple never raises on one: gcd(a, b) = 1 and 0 <= 2a <= b because
+    (a, b) comes from _coprime_pairs; gcd(c, d) = 1 and c >= 1 because c is
+    marked in row d; and c * b^2 >= d * (b^2 - a^2) because
+    c >= c_lower(a, b, d).
     """
     a_arr, b_arr = _coprime_pairs(T)
     ds = np.arange(1, T + 1)
@@ -110,8 +112,7 @@ def _class_blocks(set_id: ClassSetId, T: int
     first = np.cumsum(marked).reshape(marked.shape) - marked
     ends = first[ds, T + 1]
     for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-        bsq = b * b
-        starts = first[ds, -((-ds * (bsq - a * a)) // bsq)]
+        starts = first[ds, c_lower(a, b, ds)]
         lengths = ends - starts
         offsets = np.cumsum(lengths) - lengths
         idx = np.arange(offsets[-1] + lengths[-1])
@@ -123,10 +124,10 @@ def enumerate_classes(set_id: ClassSetId, T: int
                       ) -> Iterator[Union[TauQuadruple, WrPair]]:
     """Yield every class of height <= T exactly once.
 
-    Quadruple sets stream lexicographically by (b, a, d, c), built from the
-    columns of _class_blocks without a validity check per item; the
-    well-rounded set streams pairs by (b, a), starting with the extra class
-    (0, 1).
+    Quadruple sets stream lexicographically by (b, a, d, c), each built by
+    the checked TauQuadruple from the columns of _class_blocks, which are
+    valid by construction; the well-rounded set streams pairs by (b, a),
+    starting with the extra class (0, 1).
     """
     if not isinstance(set_id, ClassSetId):
         raise ValueError(f"unknown class set {set_id!r}")
@@ -138,7 +139,7 @@ def enumerate_classes(set_id: ClassSetId, T: int
             yield WrPair(a, b)
         return
     for a, b, c, d in _class_blocks(set_id, T):
-        yield from map(_trusted_quadruple, repeat(a), repeat(b),
+        yield from map(TauQuadruple, repeat(a), repeat(b),
                        c.tolist(), d.tolist())
 
 
@@ -149,20 +150,7 @@ def count_bruteforce(set_id: ClassSetId, T: int) -> int:
     return sum(1 for _ in enumerate_classes(set_id, T))
 
 
-def _sieve_for(Ts: Sequence[int], tables: SieveTables | None) -> SieveTables:
-    """`tables`, or a sieve to max(Ts) if none is given, once every T in Ts
-    is at least 1 and within the sieve's bound."""
-    if min(Ts) < 1:
-        raise ValueError("T must be >= 1")
-    if tables is None:
-        return build_sieve(max(Ts))
-    if max(Ts) > tables.bound:
-        raise ValueError(f"T={max(Ts)} exceeds sieve bound {tables.bound}")
-    return tables
-
-
-def count_fast(set_id: ClassSetId, T: int,
-               tables: SieveTables | None = None) -> int:
+def count_fast(set_id: ClassSetId, T: int) -> int:
     """Exact class count at height T without enumeration, in O(T^2 log T).
 
     With Phi(T) = phi(1) + ... + phi(T), N3(T) = floor(Phi(T)/2) + 1: phi(b)
@@ -177,9 +165,11 @@ def count_fast(set_id: ClassSetId, T: int,
     N1(T) = P * Phi(T) + V (per pair the c <= T coprime to d give
     2 Phi(T) - 1, and those below the range Phi(T) - 1 less its share of V).
     """
+    if T < 1:
+        raise ValueError("T must be >= 1")
     if set_id is not ClassSetId.WELL_ROUNDED and T > MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
-    tables = _sieve_for((T,), tables)
+    tables = build_sieve(T)
     phi_sum = int(tables.phi_prefix[T])
     if set_id is ClassSetId.WELL_ROUNDED:
         return phi_sum // 2 + 1
@@ -220,14 +210,16 @@ def main_terms(T: int) -> tuple[float, float, float]:
             3 * T ** 2 / (2 * math.pi ** 2))
 
 
-def census_report(Ts: Sequence[int], tables: SieveTables | None = None
-                  ) -> list[CountReport]:
-    """Exact counts with main-term comparisons for each requested T."""
+def census_report(Ts: Sequence[int]) -> list[CountReport]:
+    """Exact counts with main-term comparisons for each requested T, all
+    read off one sieve to max(Ts)."""
     if len(Ts) == 0:
         raise ValueError("census_report needs at least one height T")
+    if min(Ts) < 1:
+        raise ValueError("T must be >= 1")
     if max(Ts) > MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
-    tables = _sieve_for(Ts, tables)
+    tables = build_sieve(max(Ts))
     reports = []
     for T in Ts:
         # n3 from the totients, not from the kernel's pair count: verify's

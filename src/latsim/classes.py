@@ -65,19 +65,6 @@ class TauQuadruple:
         return CanonicalTau(Fraction(self.a, self.b), Fraction(self.c, self.d))
 
 
-def _trusted_quadruple(a: int, b: int, c: int, d: int) -> TauQuadruple:
-    """TauQuadruple(a, b, c, d) without __post_init__, for streams that make
-    only valid quadruples. It sets the fields as the generated __init__ does,
-    so the object is laid out, compared, hashed and pickled like one built by
-    the checked constructor."""
-    q = object.__new__(TauQuadruple)
-    object.__setattr__(q, "a", a)
-    object.__setattr__(q, "b", b)
-    object.__setattr__(q, "c", c)
-    object.__setattr__(q, "d", d)
-    return q
-
-
 @dataclass(frozen=True)
 class WrPair:
     a: int

@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("j", help="j-invariant of a class")
     p.add_argument("--tau", type=_parse_quadruple, required=True,
                    metavar="a,b,c,d")
-    p.add_argument("--terms", type=int, default=20)
     p.add_argument("--normalized", action="store_true")
 
     p = sub.add_parser("height", help="Weil-height bound of a class")
@@ -142,9 +141,9 @@ def _cmd_classify(args) -> int:
 def _cmd_j(args) -> int:
     tau = modular.tau_of_quadruple(args.tau)
     fn = modular.j_normalized if args.normalized else modular.j_invariant
-    jv = fn(tau, args.terms)
+    jv = fn(tau)
     print(f"j={_real(jv.value.real)}{jv.value.imag:+.12g}i "
-          f"est_error={jv.est_error:.3g} terms={jv.terms_used}")
+          f"est_error={jv.est_error:.3g} terms={modular.J_TERMS}")
     return 0
 
 

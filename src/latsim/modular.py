@@ -2,7 +2,7 @@
 
 Inputs are first reduced into the standard fundamental domain, which pins
 |q| = exp(-2*pi*Im tau) <= exp(-pi*sqrt(3)) ~ 0.00433 and makes a short
-Eisenstein q-expansion accurate to far below double precision:
+Eisenstein q-expansion accurate to far below double precision (J_TERMS terms):
 
     j = 1728 * E4^3 / (E4^3 - E6^2),
     E4 = 1 + 240 * sum sigma_3(n) q^n,   E6 = 1 - 504 * sum sigma_5(n) q^n.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .classes import TauQuadruple
 
@@ -24,12 +23,14 @@ MAX_IM = 100.0          # e^(2*pi*Im) overflows doubles near Im ~ 115
 MAX_REDUCE_STEPS = 10_000
 ZETA3 = 1.2020569031595943
 ZETA5 = 1.0369277551433699
+# Terms of the q-expansion. On the reduced domain 20 and 30 terms give
+# bit-identical doubles (tests/test_modular.py holds the 30-term oracle).
+J_TERMS = 20
 
 
 @dataclass(frozen=True)
 class JValue:
     value: complex
-    terms_used: int
     est_error: float
 
 
@@ -70,16 +71,15 @@ def _nome(tau: complex) -> complex:
                    radius * sign * math.sin(math.pi * f))
 
 
-@lru_cache
-def _sigma_tables(terms: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    sigma3 = [0] * (terms + 1)
-    sigma5 = [0] * (terms + 1)
-    for d in range(1, terms + 1):
-        d3, d5 = d ** 3, d ** 5
-        for n in range(d, terms + 1, d):
-            sigma3[n] += d3
-            sigma5[n] += d5
-    return tuple(sigma3), tuple(sigma5)
+def _divisor_power_sums(k: int) -> tuple[int, ...]:
+    """sigma_k(n) for n = 1..J_TERMS."""
+    return tuple(sum(d ** k for d in range(1, n + 1) if n % d == 0)
+                 for n in range(1, J_TERMS + 1))
+
+
+# the q^n coefficients of E4 and -E6 for n = 1..J_TERMS
+_E4_COEFFS = tuple(240 * s for s in _divisor_power_sums(3))
+_E6_COEFFS = tuple(504 * s for s in _divisor_power_sums(5))
 
 
 def _geometric_tail(r: float, N: int, power: int) -> float:
@@ -90,7 +90,7 @@ def _geometric_tail(r: float, N: int, power: int) -> float:
     return (N + 1) ** power * r ** (N + 1) / (1.0 - ratio)
 
 
-def j_invariant(tau: complex, terms: int = 20) -> JValue:
+def j_invariant(tau: complex) -> JValue:
     """Evaluate j(tau) with a truncation-error estimate.
 
     Rejects Im tau <= 0 and points whose reduced representative has
@@ -99,22 +99,19 @@ def j_invariant(tau: complex, terms: int = 20) -> JValue:
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the open upper half-plane")
-    if terms < 5:
-        raise ValueError("terms must be >= 5")
     tau = reduce_to_fundamental_domain(tau)
     if tau.imag > MAX_IM:
         raise ValueError(f"Im tau = {tau.imag:g} too large after reduction "
                          f"(limit {MAX_IM:g})")
 
     q = _nome(tau)
-    sigma3, sigma5 = _sigma_tables(terms)
     qn = 1.0 + 0.0j
     e4 = 1.0 + 0.0j
     e6 = 1.0 + 0.0j
-    for n in range(1, terms + 1):
+    for c4, c6 in zip(_E4_COEFFS, _E6_COEFFS):
         qn *= q
-        e4 += 240 * sigma3[n] * qn
-        e6 -= 504 * sigma5[n] * qn
+        e4 += c4 * qn
+        e6 -= c6 * qn
 
     e4cubed = e4 ** 3
     disc = e4cubed - e6 ** 2  # 1728 * normalized discriminant, nonzero on H
@@ -122,20 +119,19 @@ def j_invariant(tau: complex, terms: int = 20) -> JValue:
 
     # sigma_3(n) <= zeta(3) n^3, sigma_5(n) <= zeta(5) n^5: geometric tails
     r = abs(q)
-    d_e4 = 240 * ZETA3 * _geometric_tail(r, terms, 3)
-    d_e6 = 504 * ZETA5 * _geometric_tail(r, terms, 5)
+    d_e4 = 240 * ZETA3 * _geometric_tail(r, J_TERMS, 3)
+    d_e6 = 504 * ZETA5 * _geometric_tail(r, J_TERMS, 5)
     d_num = 3 * abs(e4) ** 2 * d_e4
     d_den = d_num + 2 * abs(e6) * d_e6
     est_error = 1728.0 * (d_num / abs(disc)
                           + abs(e4cubed) * d_den / abs(disc) ** 2)
-    return JValue(value=value, terms_used=terms, est_error=est_error)
+    return JValue(value=value, est_error=est_error)
 
 
-def j_normalized(tau: complex, terms: int = 20) -> JValue:
+def j_normalized(tau: complex) -> JValue:
     """j(tau) / 1728: maps the well-rounded arc onto the real interval [0, 1]."""
-    jv = j_invariant(tau, terms)
-    return JValue(value=jv.value / 1728.0, terms_used=jv.terms_used,
-                  est_error=jv.est_error / 1728.0)
+    jv = j_invariant(tau)
+    return JValue(value=jv.value / 1728.0, est_error=jv.est_error / 1728.0)
 
 
 def tau_of_quadruple(q: TauQuadruple) -> complex:
@@ -160,11 +156,11 @@ def boundary_realness_report(samples: int = 100) -> BoundaryRealnessReport:
         points.append(complex(0.0, 1.0 + t * 2.0))
         im0 = math.sqrt(3) / 2
         points.append(complex(0.5, im0 + t * (3.0 - im0)))
-    max_boundary = max(abs(j_invariant(p, 30).value.imag) for p in points)
+    max_boundary = max(abs(j_invariant(p).value.imag) for p in points)
 
     interior = [complex(0.25, 1.1), complex(0.1, 1.3), complex(0.4, 1.05),
                 complex(0.3, 2.0), complex(0.15, 1.02)]
-    min_interior = min(abs(j_invariant(p, 30).value.imag) for p in interior)
+    min_interior = min(abs(j_invariant(p).value.imag) for p in interior)
     return BoundaryRealnessReport(max_boundary_im=max_boundary,
                                   min_interior_im=min_interior)
 
@@ -174,5 +170,5 @@ def classify_by_j(q: TauQuadruple) -> bool:
 
     True iff j(tau)/1728 is numerically real with real part in [0, 1].
     """
-    jn = j_normalized(tau_of_quadruple(q), 30).value
+    jn = j_normalized(tau_of_quadruple(q)).value
     return abs(jn.imag) < 1e-6 and -1e-6 <= jn.real <= 1.0 + 1e-6

@@ -59,7 +59,6 @@ def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
 
 def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     checks: list[Check] = []
-    tables = arith.build_sieve(max(oracle_max_T, 400))
     brute_at = {set_id: _bruteforce_prefix_counts(set_id, oracle_max_T)
                 for set_id in ClassSetId}
 
@@ -67,7 +66,7 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     ok = True
     for T in range(1, oracle_max_T + 1):
         for set_id in ClassSetId:
-            fast = census.count_fast(set_id, T, tables)
+            fast = census.count_fast(set_id, T)
             brute = brute_at[set_id][T]
             if fast != brute:
                 ok = False
@@ -77,20 +76,21 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     checks.append(("count_fast == count_bruteforce", ok, detail))
 
     golden = [
-        ("N1(1)", census.count_fast(ClassSetId.ALL, 1, tables), 1),
-        ("N1(2)", census.count_fast(ClassSetId.ALL, 2, tables), 4),
-        ("N2(2)", census.count_fast(ClassSetId.SEMISTABLE, 2, tables), 2),
+        ("N1(1)", census.count_fast(ClassSetId.ALL, 1), 1),
+        ("N1(2)", census.count_fast(ClassSetId.ALL, 2), 4),
+        ("N2(2)", census.count_fast(ClassSetId.SEMISTABLE, 2), 2),
         ("N3(10) - 1",
-         census.count_fast(ClassSetId.WELL_ROUNDED, 10, tables) - 1, 16),
-        ("N3(10)", census.count_fast(ClassSetId.WELL_ROUNDED, 10, tables), 17),
+         census.count_fast(ClassSetId.WELL_ROUNDED, 10) - 1, 16),
+        ("N3(10)", census.count_fast(ClassSetId.WELL_ROUNDED, 10), 17),
     ]
     for name, got, want in golden:
         checks.append((f"golden {name} = {want}", got == want, f"got {got}"))
 
     # the kernel's pair count P against N3 from the totients; at T <= 400 the
     # kernel's arrays stay below the peak memory of the other suites
-    split = [(r.n1 - r.n2, r.n3 * (int(tables.phi_prefix[r.T]) - 1))
-             for r in census.census_report((100, 200, 400), tables)]
+    phi_prefix = arith.build_sieve(400).phi_prefix
+    split = [(r.n1 - r.n2, r.n3 * (int(phi_prefix[r.T]) - 1))
+             for r in census.census_report((100, 200, 400))]
     checks.append(("N1 - N2 = N3 (Phi(T) - 1) at T = 100, 200, 400",
                    all(x == y for x, y in split),
                    "; ".join(f"{x} vs {y}" for x, y in split)))

@@ -72,8 +72,8 @@ def test_binned_oracle_equals_bruteforce_at_every_height(monkeypatch):
 def test_criterion_1_reports_a_single_mismatch(monkeypatch):
     count_fast = census.count_fast
 
-    def off_by_one(set_id, T, tables=None):
-        n = count_fast(set_id, T, tables)
+    def off_by_one(set_id, T):
+        n = count_fast(set_id, T)
         return n + 1 if (set_id, T) == (census.ClassSetId.SEMISTABLE, 37) else n
 
     monkeypatch.setattr(census, "count_fast", off_by_one)

@@ -197,14 +197,14 @@ class TestCounters:
     def test_fast_equals_bruteforce(self):
         for T in [*range(1, 26), 50, census.BRUTEFORCE_LIMIT]:
             for set_id in ClassSetId:
-                assert census.count_fast(set_id, T, TABLES) == \
+                assert census.count_fast(set_id, T) == \
                     census.count_bruteforce(set_id, T)
 
     def test_fast_equals_moebius_oracle(self):
         for T in list(range(1, 101)) + [200, 400]:
             for semistable, set_id in ((False, ClassSetId.ALL),
                                        (True, ClassSetId.SEMISTABLE)):
-                assert census.count_fast(set_id, T, TABLES) == \
+                assert census.count_fast(set_id, T) == \
                     moebius_oracle(semistable, T, TABLES), (T, set_id)
 
     def test_fast_equals_sweep_oracle(self):
@@ -212,13 +212,12 @@ class TestCounters:
         for T in list(range(1, 101)) + [200, 400, 800]:
             for semistable, set_id in ((False, ClassSetId.ALL),
                                        (True, ClassSetId.SEMISTABLE)):
-                assert census.count_fast(set_id, T, tables) == \
+                assert census.count_fast(set_id, T) == \
                     sweep_oracle(semistable, T, tables), (T, set_id)
 
     def test_pinned_counts(self):
-        tables = arith.build_sieve(3200)
         for (T, set_id), want in PINNED_COUNTS.items():
-            assert census.count_fast(set_id, T, tables) == want
+            assert census.count_fast(set_id, T) == want
 
     def test_boundary_tie_is_counted(self):
         # (1, 2, 3, 4) attains c*b^2 = d*(b^2 - a^2): the key a^2/b^2 = 1/4
@@ -252,14 +251,25 @@ class TestCounters:
             census.census_report([census.MAX_FAST_HEIGHT + 1])
 
     def test_sieve_bound_enforced(self):
-        small = arith.build_sieve(10)
         for set_id in ClassSetId:
-            with pytest.raises(ValueError, match="exceeds sieve bound"):
-                census.count_fast(set_id, 11, small)
-        with pytest.raises(ValueError, match="exceeds sieve bound"):
-            census.census_report([5, 11], small)
+            with pytest.raises(ValueError, match="T must be >= 1"):
+                census.count_fast(set_id, 0)
         with pytest.raises(ValueError, match="T must be >= 1"):
-            census.census_report([0, 5], small)
+            census.census_report([0, 5])
+
+    def test_one_sieve_per_call(self, monkeypatch):
+        # the kernel reads the sieve its caller built from T
+        bounds = []
+
+        def counted(bound):
+            bounds.append(bound)
+            return arith.build_sieve(bound)
+
+        monkeypatch.setattr(census, "build_sieve", counted)
+        census.count_fast(ClassSetId.ALL, 30)
+        assert bounds == [30]
+        census.census_report([37, 200])
+        assert bounds == [30, 200]
 
     def test_wr_count_is_half_the_totient_sum(self):
         # N3(T) = floor(Phi(T)/2) + 1 against the per-b sum it replaced and
@@ -269,15 +279,15 @@ class TestCounters:
         pairs = np.cumsum(np.bincount(b, minlength=3001))
         per_b = 1 + np.cumsum((tables.phi + 1) // 2 * (np.arange(3001) >= 2))
         for T in range(1, 3001):
-            n3 = census.count_fast(ClassSetId.WELL_ROUNDED, T, tables)
+            n3 = census.count_fast(ClassSetId.WELL_ROUNDED, T)
             assert n3 == per_b[T] == pairs[T], T
 
     def test_counts_nondecreasing_and_ordered(self):
         prev = (0, 0, 0)
         for T in range(1, 31):
-            n1 = census.count_fast(ClassSetId.ALL, T, TABLES)
-            n2 = census.count_fast(ClassSetId.SEMISTABLE, T, TABLES)
-            n3 = census.count_fast(ClassSetId.WELL_ROUNDED, T, TABLES)
+            n1 = census.count_fast(ClassSetId.ALL, T)
+            n2 = census.count_fast(ClassSetId.SEMISTABLE, T)
+            n3 = census.count_fast(ClassSetId.WELL_ROUNDED, T)
             assert n1 >= prev[0] and n2 >= prev[1] and n3 >= prev[2]
             assert n1 >= n2 >= n3
             if T >= 2:
@@ -293,8 +303,8 @@ class TestCounters:
             extra = a_arr.size * sum(
                 arith.coprime_count_range(d + 1, T, d)
                 for d in range(1, T + 1))
-            assert census.count_fast(ClassSetId.ALL, T, TABLES) == \
-                census.count_fast(ClassSetId.SEMISTABLE, T, TABLES) + extra
+            assert census.count_fast(ClassSetId.ALL, T) == \
+                census.count_fast(ClassSetId.SEMISTABLE, T) + extra
 
     def test_wr_containment(self):
         semistable_25 = set(census.enumerate_classes(ClassSetId.SEMISTABLE, 25))
@@ -314,7 +324,7 @@ class TestMainTermsAndReport:
         assert m2 / m1 == pytest.approx(1 / 13)
 
     def test_report_small(self):
-        r1, r2 = census.census_report([1, 2], TABLES)
+        r1, r2 = census.census_report([1, 2])
         assert (r1.n1, r1.n2, r1.n3) == (1, 1, 1)
         assert (r2.n1, r2.n2, r2.n3) == (4, 2, 2)
 
@@ -327,27 +337,26 @@ class TestMainTermsAndReport:
             return sweep(T, tables)
 
         monkeypatch.setattr(census, "_farey_count", counted)
-        reports = census.census_report([37, 200], TABLES)
+        reports = census.census_report([37, 200])
         assert sweeps == [37, 200]
         for r in reports:
-            assert r.n1 == census.count_fast(ClassSetId.ALL, r.T, TABLES)
-            assert r.n2 == census.count_fast(ClassSetId.SEMISTABLE, r.T, TABLES)
-            assert r.n3 == census.count_fast(ClassSetId.WELL_ROUNDED, r.T,
-                                             TABLES)
+            assert r.n1 == census.count_fast(ClassSetId.ALL, r.T)
+            assert r.n2 == census.count_fast(ClassSetId.SEMISTABLE, r.T)
+            assert r.n3 == census.count_fast(ClassSetId.WELL_ROUNDED, r.T)
 
     def test_deviation_shrinks_over_wide_span(self):
         # magnitudes oscillate locally; compare well-separated heights
-        r50, r400 = census.census_report([50, 400], TABLES)
+        r50, r400 = census.census_report([50, 400])
         assert r400.rel_dev1 < r50.rel_dev1
         assert r400.rel_dev3 < r50.rel_dev3
 
     def test_report_rejects_no_heights(self):
         with pytest.raises(ValueError, match="at least one height"):
-            census.census_report([], TABLES)
+            census.census_report([])
 
     def test_csv_format(self):
         buf = io.StringIO()
-        census.write_census_csv(census.census_report([1, 2], TABLES), buf)
+        census.write_census_csv(census.census_report([1, 2]), buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "T,n1,n2,n3,main1,main2,main3,dev1,dev2,dev3"
         assert lines[1].startswith("1,1,1,1,")

@@ -24,6 +24,12 @@ class TestCount:
         assert code == 2 and out == ""
         assert err.strip() == "error: sieve bound 1000000000 exceeds 10000000"
 
+    def test_height_below_one_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "count", "--set", "wr",
+                             "--max-height", "0")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: T must be >= 1"
+
 
 class TestEnumerate:
     def test_jsonl_roundtrip_through_classify(self, capsys):
