@@ -28,6 +28,9 @@ from .arith import SieveTables, build_sieve
 from .classes import TauQuadruple, WrPair
 
 BRUTEFORCE_LIMIT = 60
+# enumerate_classes converts columns to ints this many at a time: a block
+# holds up to ~0.3 T^2 classes, 1.2M for (0, 1) at T = 2000
+_LIST_SLICE = 1 << 14
 
 # Largest T at which count_fast is exact for the quadruple sets, checked in
 # _farey_count. Its keys a^2/b^2 and queries c/d are correctly rounded
@@ -50,6 +53,8 @@ class CountReport:
     n1: int
     n2: int
     n3: int
+    phi: int  # Phi(T) = phi(1) + ... + phi(T)
+    v: int    # V(T) of the Farey-pair count, so N2 = N3 + V
     main1: float
     main2: float
     main3: float
@@ -65,59 +70,60 @@ def c_lower(a: int, b: int, d: int | np.ndarray) -> int | np.ndarray:
     return -((-d * (bsq - a * a)) // bsq)
 
 
+def _coprime_mask(T: int, ncols: int, tables: SieveTables | None = None
+                  ) -> np.ndarray:
+    """bool table mask[d, c] = (gcd(c, d) == 1), d <= T, c < ncols.
+
+    Strikes mask[::p, ::p] for each prime p < ncols (from tables.spf, or a
+    sieve to ncols - 1), the only primes that divide a c in [1, ncols - 1];
+    column 0 is set apart, as gcd(0, d) = d.
+    """
+    mask = np.ones((T + 1, ncols), dtype=bool)
+    if tables is None:
+        tables = build_sieve(max(ncols - 1, 1))
+    n = np.arange(ncols)
+    for p in n[2:][tables.spf[2:ncols] == n[2:]].tolist():
+        mask[::p, ::p] = False
+    mask[:, 0] = np.arange(T + 1) == 1
+    return mask
+
+
 def _coprime_pairs(T: int, tables: SieveTables | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """int32 arrays a, b over gcd(a,b)=1, 0 <= 2a <= b <= T, ordered by (b, a).
 
-    Strikes the multiples of each prime p <= T/2 (from tables.spf, or from a
-    sieve to T // 2) off the triangle 2a <= b.
+    The coprimality table of _coprime_mask, cut to the triangle 2a <= b.
     """
     rows = np.arange(T + 1, dtype=np.int32)
     cols = rows[:T // 2 + 1]
-    mask = 2 * cols <= rows[:, None]
-    if tables is None:
-        tables = build_sieve(max(T // 2, 1))
-    n = np.arange(2, cols.size)
-    for p in n[tables.spf[2:cols.size] == n].tolist():
-        mask[p::p, ::p] = False
-    mask[:, 0] = rows == 1  # gcd(0, b) = b
+    mask = _coprime_mask(T, cols.size, tables) & (2 * cols <= rows[:, None])
     a = np.broadcast_to(cols, mask.shape)[mask]
     return a, np.repeat(rows, np.count_nonzero(mask, axis=1))
 
 
 def _class_blocks(set_id: ClassSetId, T: int
                   ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (a, b, c, d) for each coprime pair (a, b) of _coprime_pairs(T),
-    with c, d the int64 columns of that pair's quadruples of height <= T in
-    the set all or semistable, ordered by (d, c).
+    """Yield (a, b, c, d) for each pair (a, b) of _coprime_pairs(T), with c, d
+    the int64 columns of its quadruples of height <= T in the set all or
+    semistable in (d, c) order: the entries of _coprime_mask(T, T + 1),
+    cleared at c = 0 and d = 0 (and above c = d if semistable), with
+    c >= c_lower(a, b, d), selected by one mask. One sieve to T serves all.
 
-    Row d of a (T+1) x (T+2) table marks the c in [1, T] (in [1, d] if
-    semistable) coprime to d; its running count locates, for each d, the
-    first marked c >= c_lower(a, b, d), and one np.repeat gathers the tails
-    of the rows from there. So every quadruple is valid, and the check of
-    TauQuadruple never raises on one: gcd(a, b) = 1 and 0 <= 2a <= b because
-    (a, b) comes from _coprime_pairs; gcd(c, d) = 1 and c >= 1 because c is
-    marked in row d; and c * b^2 >= d * (b^2 - a^2) because
-    c >= c_lower(a, b, d).
+    So every quadruple is valid, and the check of TauQuadruple never raises
+    on one: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
+    _coprime_pairs; gcd(c, d) = 1 and c, d >= 1 because (d, c) is marked in
+    the table; and c * b^2 >= d * (b^2 - a^2) because c >= c_lower(a, b, d).
     """
-    a_arr, b_arr = _coprime_pairs(T)
-    ds = np.arange(1, T + 1)
-    # marked[d, c]; row 0 and the columns 0 and T + 1 stay empty
-    marked = np.zeros((T + 1, T + 2), dtype=bool)
-    marked[1:, 1:T + 1] = np.gcd.outer(ds, ds) == 1
+    tables = build_sieve(T)
+    a_arr, b_arr = _coprime_pairs(T, tables)
+    marked = _coprime_mask(T, T + 1, tables)
+    marked[0] = marked[:, 0] = False
     if set_id is ClassSetId.SEMISTABLE:
         marked = np.tril(marked)
-    flat_d, flat_c = np.nonzero(marked)
-    # first[d, c]: the marked entries before (d, c) in row-major order
-    first = np.cumsum(marked).reshape(marked.shape) - marked
-    ends = first[ds, T + 1]
+    cs = np.arange(T + 1)
     for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-        starts = first[ds, c_lower(a, b, ds)]
-        lengths = ends - starts
-        offsets = np.cumsum(lengths) - lengths
-        idx = np.arange(offsets[-1] + lengths[-1])
-        idx += np.repeat(starts - offsets, lengths)
-        yield a, b, flat_c[idx], flat_d[idx]
+        d, c = np.nonzero(marked & (cs >= c_lower(a, b, cs[:, None])))
+        yield a, b, c, d
 
 
 def enumerate_classes(set_id: ClassSetId, T: int
@@ -135,12 +141,13 @@ def enumerate_classes(set_id: ClassSetId, T: int
         raise ValueError("T must be >= 1")
     if set_id is ClassSetId.WELL_ROUNDED:
         a_arr, b_arr = _coprime_pairs(T)
-        for a, b in zip(a_arr.tolist(), b_arr.tolist()):
-            yield WrPair(a, b)
+        yield from map(WrPair, a_arr.tolist(), b_arr.tolist())
         return
     for a, b, c, d in _class_blocks(set_id, T):
-        yield from map(TauQuadruple, repeat(a), repeat(b),
-                       c.tolist(), d.tolist())
+        for i in range(0, c.size, _LIST_SLICE):
+            yield from map(TauQuadruple, repeat(a), repeat(b),
+                           c[i:i + _LIST_SLICE].tolist(),
+                           d[i:i + _LIST_SLICE].tolist())
 
 
 def count_bruteforce(set_id: ClassSetId, T: int) -> int:
@@ -229,8 +236,8 @@ def census_report(Ts: Sequence[int]) -> list[CountReport]:
         n1, n2, n3 = pairs * phi_sum + v, pairs + v, phi_sum // 2 + 1
         m1, m2, m3 = main_terms(T)
         reports.append(CountReport(
-            T=T, n1=n1, n2=n2, n3=n3, main1=m1, main2=m2, main3=m3,
-            rel_dev1=abs(n1 / m1 - 1), rel_dev2=abs(n2 / m2 - 1),
+            T=T, n1=n1, n2=n2, n3=n3, phi=phi_sum, v=v, main1=m1, main2=m2,
+            main3=m3, rel_dev1=abs(n1 / m1 - 1), rel_dev2=abs(n2 / m2 - 1),
             rel_dev3=abs(n3 / m3 - 1)))
     return reports
 

@@ -124,7 +124,3 @@ def pair_height(p: WrPair) -> int:
     """Height of a WR class under the pair convention: max{|a|, |b|} = b."""
     return p.b
 
-
-def quadruple_height(p: WrPair) -> int:
-    """Height of a WR class measured on its full quadruple: b^2."""
-    return max_height(wr_pair_to_quadruple(p))

@@ -96,10 +96,7 @@ def j_invariant(tau: complex) -> JValue:
     Rejects Im tau <= 0 and points whose reduced representative has
     Im tau > 100 (q^-1 would overflow).
     """
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the open upper half-plane")
-    tau = reduce_to_fundamental_domain(tau)
+    tau = reduce_to_fundamental_domain(complex(tau))
     if tau.imag > MAX_IM:
         raise ValueError(f"Im tau = {tau.imag:g} too large after reduction "
                          f"(limit {MAX_IM:g})")

@@ -88,8 +88,7 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
 
     # the kernel's pair count P against N3 from the totients; at T <= 400 the
     # kernel's arrays stay below the peak memory of the other suites
-    phi_prefix = arith.build_sieve(400).phi_prefix
-    split = [(r.n1 - r.n2, r.n3 * (int(phi_prefix[r.T]) - 1))
+    split = [(r.n1 - r.n2, r.n3 * (r.phi - 1))
              for r in census.census_report((100, 200, 400))]
     checks.append(("N1 - N2 = N3 (Phi(T) - 1) at T = 100, 200, 400",
                    all(x == y for x, y in split),

@@ -5,7 +5,8 @@ import os
 import pickle
 import subprocess
 import sys
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, islice
 from math import gcd, prod
 
 import numpy as np
@@ -183,6 +184,30 @@ class TestEnumerate:
                 if T == 30:
                     assert pickle.loads(pickle.dumps(got)) == want
 
+    def test_stream_crosses_list_slice(self):
+        # the (0, 1) block at T = 250 holds Phi(250) > _LIST_SLICE classes,
+        # so the stream converts it in two slices before the next pair
+        T = 250
+        _, _, c, _ = next(census._class_blocks(ClassSetId.ALL, T))
+        assert c.size > census._LIST_SLICE
+        n = c.size + 50
+        got = list(islice(census.enumerate_classes(ClassSetId.ALL, T), n))
+        want = list(islice(gcd_stream(ClassSetId.ALL, T), n))
+        assert got == want
+        assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_first_classes_stay_small(self):
+        # the head of a large stream must not hold a whole block as Python
+        # ints; the list-per-block stream peaked at 52 MiB traced here
+        tracemalloc.start()
+        try:
+            stream = census.enumerate_classes(ClassSetId.ALL, 1000)
+            assert len(list(islice(stream, 1000))) == 1000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2 ** 20, peak
+
 
 class TestCounters:
     def test_bruteforce_examples(self):
@@ -228,6 +253,16 @@ class TestCounters:
                 set(census.enumerate_classes(set_id, 4))
         # pairs (0,1), (1,2), (1,3), (1,4); the one query 1/4 ties x = 1/2
         assert census._farey_count(4, TABLES) == (4, 1)
+
+    def test_coprime_mask_equals_gcd_table(self):
+        tables = arith.build_sieve(200)
+        for T in range(1, 201):
+            for ncols in (T // 2 + 1, T + 1):
+                want = np.gcd.outer(np.arange(T + 1), np.arange(ncols)) == 1
+                for sieve in (None, tables):
+                    got = census._coprime_mask(T, ncols, sieve)
+                    assert got.dtype == bool
+                    assert np.array_equal(got, want), (T, ncols, sieve)
 
     def test_struck_pairs_equal_gcd_triangle(self):
         tables = arith.build_sieve(1000)
@@ -340,6 +375,8 @@ class TestMainTermsAndReport:
         reports = census.census_report([37, 200])
         assert sweeps == [37, 200]
         for r in reports:
+            assert r.phi == int(arith.build_sieve(r.T).phi_prefix[r.T])
+            assert (r.n1, r.n2) == (r.n3 * r.phi + r.v, r.n3 + r.v)
             assert r.n1 == census.count_fast(ClassSetId.ALL, r.T)
             assert r.n2 == census.count_fast(ClassSetId.SEMISTABLE, r.T)
             assert r.n3 == census.count_fast(ClassSetId.WELL_ROUNDED, r.T)

@@ -95,7 +95,7 @@ class TestHeights:
     def test_pair_vs_quadruple_convention(self):
         p = WrPair(1, 2)
         assert classes.pair_height(p) == 2
-        assert classes.quadruple_height(p) == 4
+        assert classes.max_height(classes.wr_pair_to_quadruple(p)) == 4
 
 
 class TestWrPairs:
