@@ -34,6 +34,8 @@ DEFAULT_SEED = 20260823
 
 # verify_euler's bound on |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4)
 POWER_SUM_CONSTANT = 4.0
+# upper end of Im tau for verify_modular's random points
+RANDOM_IM_HI = 2.0
 
 
 def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
@@ -228,16 +230,17 @@ def verify_haar() -> list[Check]:
     ]
 
 
-def _random_upper_points(n: int, rng: random.Random,
-                         im_hi: float = 2.0) -> list[complex]:
+def _random_upper_points(n: int, rng: random.Random) -> list[complex]:
     """Random points on a dyadic grid (re exactly representable after +1).
 
-    Im is capped so |dj/dtau| ~ 2*pi*exp(2*pi*Im) stays below ~2e6 and the
-    1-ulp rounding of -1/tau cannot push |j(-1/tau) - j(tau)| past 1e-8.
+    Im lies in [0.9, RANDOM_IM_HI], where |j| < 3e5. There the inversion
+    check's absolute tolerance of 1e-8 sits ten times above the largest
+    |j(-1/tau) - j(tau)| over the seeds 0..299 (1.1e-9).
     """
     grid = 1 << 20
     return [complex(rng.randint(-grid // 2 + 1, grid // 2 - 1) / grid,
-                    rng.randint(int(0.9 * grid), int(im_hi * grid)) / grid)
+                    rng.randint(int(0.9 * grid), int(RANDOM_IM_HI * grid))
+                    / grid)
             for _ in range(n)]
 
 
@@ -389,9 +392,11 @@ def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check
     checks.append((f"weil_height_bound <= (sqrt5/2) m^(3/2), height <= "
                    f"{quadruple_height}", ok,
                    "exhaustive" if ok else f"violated at {bad}"))
-    ok = all(classes.wr_weil_height_bound(p) <= classes.pair_height(p)
+    ok = all(classes.weil_height_bound(classes.wr_pair_to_quadruple(p))
+             == classes.wr_weil_height_bound(p) ** 2
              for p in census.enumerate_classes(ClassSetId.WELL_ROUNDED, wr_bmax))
-    checks.append((f"WR height bound <= b for all pairs with b <= {wr_bmax}",
+    checks.append((f"weil_height_bound of the WR quadruple = (WR height "
+                   f"bound)^2 for all pairs with b <= {wr_bmax}",
                    ok, "exhaustive"))
     return checks
 

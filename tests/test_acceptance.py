@@ -229,6 +229,12 @@ def test_height_violation_names_the_same_class(monkeypatch):
     assert "np." not in detail
 
 
+def test_wr_height_check_fails_on_a_wrong_bound(monkeypatch):
+    monkeypatch.setattr(classes, "wr_weil_height_bound", lambda p: p.b + 1)
+    checks = verify.verify_heights(quadruple_height=5, wr_bmax=20)
+    assert [passed for _, passed, _ in checks] == [True, False]
+
+
 def load_bench_workloads(monkeypatch):
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
@@ -278,7 +284,8 @@ PINNED_CHECKS = {
         "canonical_tau(Lambda_g(tau)) = tau on 1000 random words"],
     "heights": [
         "weil_height_bound <= (sqrt5/2) m^(3/2), height <= 50",
-        "WR height bound <= b for all pairs with b <= 200"],
+        "weil_height_bound of the WR quadruple = (WR height bound)^2 for "
+        "all pairs with b <= 200"],
 }
 
 

@@ -90,6 +90,17 @@ class TestJAndHeight:
         assert code == 0 and out.startswith("j=")
         assert "e-" in out.split()[0]
 
+    def test_j_at_large_im(self, capsys):
+        code, out, _ = run(capsys, "j", "--tau", "1,2,47,1")
+        assert code == 0 and out.startswith("j=")
+
+    def test_j_of_163_within_printed_error(self, capsys):
+        code, out, _ = run(capsys, "j", "--tau", "1,2,163,4")
+        assert code == 0
+        fields = dict(f.split("=") for f in out.split())
+        value = complex(fields["j"].replace("i", "j"))
+        assert abs(value - (-640320 ** 3)) <= float(fields["est_error"])
+
     def test_height(self, capsys):
         code, out, _ = run(capsys, "height", "--tau", "1,2,3,4")
         assert code == 0

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from latsim import census, classes, modular
+from latsim import census, classes, modular, verify
 from latsim.census import ClassSetId
 from latsim.classes import TauQuadruple
 
@@ -12,21 +12,36 @@ RHO = cmath.exp(1j * math.pi / 3)
 # Classes within 4e-7 of the unit arc (classify_by_j's known defect)
 NEAR_ARC = (TauQuadruple(19, 149, 121, 123), TauQuadruple(27, 166, 184, 189))
 ORACLE_TERMS = 30
+# The 13 classes of class number one and their exact j (Cox, Primes of the
+# Form x^2 + ny^2, section 12): tau = i*sqrt(n) or (1 + i*sqrt(D))/2.
+CM_VALUES = {
+    TauQuadruple(1, 2, 3, 4): 0,
+    TauQuadruple(0, 1, 1, 1): 1728,
+    TauQuadruple(1, 2, 7, 4): -15 ** 3,
+    TauQuadruple(0, 1, 2, 1): 20 ** 3,
+    TauQuadruple(1, 2, 11, 4): -32 ** 3,
+    TauQuadruple(0, 1, 3, 1): 2 * 30 ** 3,
+    TauQuadruple(0, 1, 4, 1): 66 ** 3,
+    TauQuadruple(1, 2, 19, 4): -96 ** 3,
+    TauQuadruple(1, 2, 27, 4): -3 * 160 ** 3,
+    TauQuadruple(0, 1, 7, 1): 255 ** 3,
+    TauQuadruple(1, 2, 43, 4): -960 ** 3,
+    TauQuadruple(1, 2, 67, 4): -5280 ** 3,
+    TauQuadruple(1, 2, 163, 4): -640320 ** 3,
+}
 
 
 def j_oracle(tau: complex) -> complex:
-    """j(tau) from a 30-term q-expansion, on the same reduced tau and nome
-    and in the same order of operations as modular.j_invariant."""
-    tau = modular.reduce_to_fundamental_domain(complex(tau))
+    """j(tau) from the 30-term series, on the same reduced tau and nome and in
+    the same order of operations as modular.j_invariant."""
+    tau, _ = modular.reduce_to_fundamental_domain(complex(tau))
     q = modular._nome(tau)
-    qn = e4 = e6 = 1.0 + 0.0j
+    qn = e4 = prod = 1.0 + 0.0j
     for n in range(1, ORACLE_TERMS + 1):
-        divisors = [d for d in range(1, n + 1) if n % d == 0]
         qn *= q
-        e4 += 240 * sum(d ** 3 for d in divisors) * qn
-        e6 -= 504 * sum(d ** 5 for d in divisors) * qn
-    e4cubed = e4 ** 3
-    return 1728.0 * e4cubed / (e4cubed - e6 ** 2)
+        e4 += 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0) * qn
+        prod *= 1.0 - qn
+    return e4 ** 3 / (q * prod ** 24)
 
 
 def verify_modular_points() -> list[complex]:
@@ -49,8 +64,8 @@ def verify_modular_points() -> list[complex]:
 class TestJInvariant:
     def test_j_at_i(self):
         jv = modular.j_invariant(1j)
-        assert abs(jv.value - 1728) < 1e-9
-        assert jv.est_error < 1e-20
+        # the bound covers rounding, about 2e-13 relative at i
+        assert abs(jv.value - 1728) <= jv.est_error < 1e-9
 
     def test_j_at_rho(self):
         assert abs(modular.j_invariant(RHO).value) < 1e-9
@@ -96,6 +111,56 @@ class TestJInvariant:
                 (want.real.hex(), want.imag.hex()), tau
 
 
+def class_taus(height: int) -> list[complex]:
+    return [modular.tau_of_quadruple(q)
+            for q in census.enumerate_classes(ClassSetId.ALL, height)]
+
+
+def inversion_points(seed: int) -> list[complex]:
+    points = verify._random_upper_points(100, random.Random(seed))
+    return points + [-1 / p for p in points]
+
+
+# where est_error must cover |j - mpmath| and stay below 1e-11 max(1, |j|)
+BOUND_POINTS = {
+    "verify_modular": verify_modular_points,
+    "height<=20": lambda: class_taus(20),
+    "i_sqrt_m": lambda: [complex(0.0, math.sqrt(m))
+                         for m in range(1, 10 ** 4 + 1)],
+    "inversion": lambda: (inversion_points(verify.DEFAULT_SEED)
+                          + inversion_points(22)),
+}
+
+
+class TestErrorBound:
+    def test_class_number_one_values(self):
+        for q, want in CM_VALUES.items():
+            jv = modular.j_invariant(modular.tau_of_quadruple(q))
+            assert abs(jv.value - want) <= jv.est_error, q
+            assert jv.est_error <= 1e-11 * max(1, abs(want)), q
+
+    def test_domain_constants(self):
+        # Q_MAX bounds |q| and E6_BOUND bounds |E6| on the reduced domain
+        assert math.exp(-math.pi * math.sqrt(3)) < modular.Q_MAX
+        sigma5 = [sum(d ** 5 for d in range(1, n + 1) if n % d == 0)
+                  for n in range(1, 40)]
+        assert 1 + 504 * sum(s * modular.Q_MAX ** n
+                             for n, s in enumerate(sigma5, 1)) \
+            < modular.E6_BOUND
+
+    @pytest.mark.parametrize("name", list(BOUND_POINTS))
+    def test_covers_mpmath_and_is_tight(self, name):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for tau in BOUND_POINTS[name]():
+                jv = modular.j_invariant(tau)
+                want = 1728 * mpmath.kleinj(mpmath.mpc(tau.real, tau.imag))
+                err = abs(mpmath.mpc(jv.value) - want)
+                assert err <= jv.est_error, (name, tau)
+                assert jv.est_error <= 1e-11 * max(1.0, abs(jv.value)), \
+                    (name, tau)
+
+
 class TestSymmetries:
     def test_inversion_invariance(self):
         rng = random.Random(47)
@@ -106,6 +171,15 @@ class TestSymmetries:
             # scale-aware: |j| reaches ~1e8 at Im tau = 3, where input
             # rounding alone moves j by ~1e-7 in absolute terms
             assert abs(a - b) < 1e-8 * max(1.0, abs(b))
+
+    def test_inversion_within_verify_tolerance_for_seeds_0_to_299(self):
+        # verify_modular's inversion check, at every seed 0..299
+        for seed in range(300):
+            worst = max(abs(modular.j_invariant(-1 / p).value
+                            - modular.j_invariant(p).value)
+                        for p in verify._random_upper_points(
+                            100, random.Random(seed)))
+            assert worst < 1e-8, seed
 
     def test_conjugation_symmetry(self):
         rng = random.Random(53)
@@ -160,6 +234,12 @@ class TestClassifyByJ:
         assert modular.classify_by_j(TauQuadruple(1, 2, 3, 4))
         assert modular.classify_by_j(TauQuadruple(0, 1, 1, 1))
         assert not modular.classify_by_j(TauQuadruple(0, 1, 2, 1))
+
+    def test_large_im_gives_a_verdict(self):
+        # Im tau = sqrt(47) > 7, where E4^3 - E6^2 used to round to zero
+        q = TauQuadruple(1, 2, 47, 1)
+        assert modular.classify_by_j(q) == \
+            (classes.classify(q) is classes.ClassKind.WELL_ROUNDED)
 
     def test_agrees_with_parametrized_classifier(self):
         for q in census.enumerate_classes(ClassSetId.ALL, 10):
