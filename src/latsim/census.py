@@ -70,17 +70,14 @@ def c_lower(a: int, b: int, d: int | np.ndarray) -> int | np.ndarray:
     return -((-d * (bsq - a * a)) // bsq)
 
 
-def _coprime_mask(T: int, ncols: int, tables: SieveTables | None = None
-                  ) -> np.ndarray:
+def _coprime_mask(T: int, ncols: int, tables: SieveTables) -> np.ndarray:
     """bool table mask[d, c] = (gcd(c, d) == 1), d <= T, c < ncols.
 
-    Strikes mask[::p, ::p] for each prime p < ncols (from tables.spf, or a
-    sieve to ncols - 1), the only primes that divide a c in [1, ncols - 1];
-    column 0 is set apart, as gcd(0, d) = d.
+    Strikes mask[::p, ::p] for each prime p < ncols (from tables.spf, so the
+    sieve must reach ncols - 1), the only primes that divide a c in
+    [1, ncols - 1]; column 0 is set apart, as gcd(0, d) = d.
     """
     mask = np.ones((T + 1, ncols), dtype=bool)
-    if tables is None:
-        tables = build_sieve(max(ncols - 1, 1))
     n = np.arange(ncols)
     for p in n[2:][tables.spf[2:ncols] == n[2:]].tolist():
         mask[::p, ::p] = False
@@ -88,7 +85,7 @@ def _coprime_mask(T: int, ncols: int, tables: SieveTables | None = None
     return mask
 
 
-def _coprime_pairs(T: int, tables: SieveTables | None = None
+def _coprime_pairs(T: int, tables: SieveTables
                    ) -> tuple[np.ndarray, np.ndarray]:
     """int32 arrays a, b over gcd(a,b)=1, 0 <= 2a <= b <= T, ordered by (b, a).
 
@@ -140,7 +137,7 @@ def enumerate_classes(set_id: ClassSetId, T: int
     if T < 1:
         raise ValueError("T must be >= 1")
     if set_id is ClassSetId.WELL_ROUNDED:
-        a_arr, b_arr = _coprime_pairs(T)
+        a_arr, b_arr = _coprime_pairs(T, build_sieve(T))
         yield from map(WrPair, a_arr.tolist(), b_arr.tolist())
         return
     for a, b, c, d in _class_blocks(set_id, T):
@@ -172,6 +169,8 @@ def count_fast(set_id: ClassSetId, T: int) -> int:
     N1(T) = P * Phi(T) + V (per pair the c <= T coprime to d give
     2 Phi(T) - 1, and those below the range Phi(T) - 1 less its share of V).
     """
+    if not isinstance(set_id, ClassSetId):
+        raise ValueError(f"unknown class set {set_id!r}")
     if T < 1:
         raise ValueError("T must be >= 1")
     if set_id is not ClassSetId.WELL_ROUNDED and T > MAX_FAST_HEIGHT:

@@ -142,9 +142,9 @@ def _cmd_j(args) -> int:
     tau = modular.tau_of_quadruple(args.tau)
     fn = modular.j_normalized if args.normalized else modular.j_invariant
     jv = fn(tau)
-    # every digit of the double, so the printed value is within est_error
+    # every digit of each double, so the text parses back to value and bound
     print(f"j={jv.value.real:.17g}{jv.value.imag:+.17g}i "
-          f"est_error={jv.est_error:.3g} terms={modular.J_TERMS}")
+          f"est_error={jv.est_error:.17g} terms={modular.J_TERMS}")
     return 0
 
 

@@ -169,18 +169,17 @@ def tau_of_quadruple(q: TauQuadruple) -> complex:
     return complex(q.a / q.b, math.sqrt(q.c / q.d))
 
 
-def boundary_realness_report(samples: int = 100) -> BoundaryRealnessReport:
-    """Sample j along the three boundary components of the class space.
+def boundary_realness_report() -> BoundaryRealnessReport:
+    """Sample j at 100 evenly spaced points on each of the three boundary
+    components of the class space.
 
     Components: the unit arc theta in [pi/3, pi/2], the imaginary ray
     re = 0 with 1 <= im <= 3, and the ray re = 1/2 with sqrt(3)/2 <= im <= 3.
     Interior control points confirm that Im j is NOT small off the boundary.
     """
-    if samples < 10:
-        raise ValueError("samples must be >= 10")
     points: list[complex] = []
-    for k in range(samples):
-        t = k / (samples - 1)
+    for k in range(100):
+        t = k / 99
         theta = math.pi / 3 + t * math.pi / 6
         points.append(cmath.exp(1j * theta))
         points.append(complex(0.0, 1.0 + t * 2.0))

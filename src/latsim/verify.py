@@ -1,16 +1,22 @@
 """Self-verification suites: each check returns (name, passed, detail).
 
-Suites:
-- counts:       fast counter vs enumeration oracle at every T (one
+Each suite runs one fixed configuration; a seed is all it takes from the CLI.
+- counts:       fast counter vs enumeration oracle at every T <= 40 (one
                 enumeration per set, binned by height), golden small counts,
-                N1 - N2 = N3 (Phi(T) - 1) against the totients
+                N1 - N2 = N3 (Phi(T) - 1) against the totients, T <= 400
 - asymptotics:  main-term constants and convergence of relative deviations
-- euler:        totient/divisor lemmas and the restricted power-sum constant
+                along T = 50, 100, 200, 400
+- euler:        totient/divisor lemmas (n <= 10^4, 20 intervals per n) and
+                the restricted power-sum constant (b <= 5000)
 - haar:         hyperbolic-volume quadrature against closed forms
-- modular:      j-invariant special values, symmetries, boundary realness
-- geometry:     parametrized classification vs exact geometric predicates
-- reduction_invariance: canonical tau recovered after random modular words
-- heights:      Weil-height bounds against their ceilings
+- modular:      j special values, symmetries on 100 random points, boundary
+                realness (100 samples per component), verdicts, height <= 20
+- geometry:     parametrized classification vs exact geometric predicates,
+                height <= 20
+- reduction_invariance: canonical tau recovered after 1000 random modular
+                words of length <= 10
+- heights:      Weil-height bounds against their ceilings, height <= 50, and
+                the WR bound for pairs with b <= 200
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -98,7 +104,7 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
     return checks
 
 
-def verify_asymptotics(Ts: Sequence[int] = (50, 100, 200, 400)) -> list[Check]:
+def verify_asymptotics() -> list[Check]:
     checks: list[Check] = []
     c1 = 39 / (8 * math.pi ** 4)
     c2 = 3 / (8 * math.pi ** 4)
@@ -115,25 +121,21 @@ def verify_asymptotics(Ts: Sequence[int] = (50, 100, 200, 400)) -> list[Check]:
     checks.append(("semi-stable fraction = 1/13 (~7.7%)",
                    abs(ratio - 1 / 13) < 1e-15, f"{ratio:.10f}"))
 
-    if len(Ts) < 2:
-        return checks
-    reports = census.census_report(list(Ts))
+    reports = census.census_report((50, 100, 200, 400))
     for devs, label in ((tuple(r.rel_dev1 for r in reports), "N1"),
                         (tuple(r.rel_dev2 for r in reports), "N2")):
         decreasing = all(x > y for x, y in zip(devs, devs[1:]))
         checks.append((f"{label} relative deviation strictly decreases",
                        decreasing,
                        " -> ".join(f"{d:.5f}" for d in devs)))
-    # O(log T / T) envelope between the endpoints T=100 and T=400
-    by_T = {r.T: r for r in reports}
-    if 100 in by_T and 400 in by_T:
-        envelope = (math.log(400) / 400) / (math.log(100) / 100) * 1.5
-        for label, dev100, dev400 in (
-                ("N1", by_T[100].rel_dev1, by_T[400].rel_dev1),
-                ("N2", by_T[100].rel_dev2, by_T[400].rel_dev2)):
-            ok = dev400 / dev100 <= envelope
-            checks.append((f"{label} deviation within log(T)/T envelope", ok,
-                           f"ratio {dev400 / dev100:.4f} <= {envelope:.4f}"))
+    # O(log T / T) envelope between T=100 and T=400
+    _, r100, _, r400 = reports
+    envelope = (math.log(400) / 400) / (math.log(100) / 100) * 1.5
+    for label, dev100, dev400 in (("N1", r100.rel_dev1, r400.rel_dev1),
+                                  ("N2", r100.rel_dev2, r400.rel_dev2)):
+        ok = dev400 / dev100 <= envelope
+        checks.append((f"{label} deviation within log(T)/T envelope", ok,
+                       f"ratio {dev400 / dev100:.4f} <= {envelope:.4f}"))
     return checks
 
 
@@ -158,12 +160,10 @@ def _sample_pair(rng: random.Random, m: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
-                 pairs_per_n: int = 20, seed: int = DEFAULT_SEED
-                 ) -> list[Check]:
+def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
     checks: list[Check] = []
-    # the last check reads Phi(T) up to T = 10^4 whatever nmax and bmax are
-    tables = arith.build_sieve(max(nmax, bmax, 10_000))
+    nmax, bmax = 10_000, 5_000
+    tables = arith.build_sieve(nmax)
     rng = random.Random(seed)
     # the endpoints k/den, built once: ranges[den][k] = Fraction(k, den)
     ranges = {den: [Fraction(k, den) for k in range(den + 1)]
@@ -174,7 +174,7 @@ def verify_euler(nmax: int = 10_000, bmax: int = 5_000,
     for n in range(2, nmax + 1):
         phi_n = int(tables.phi[n])
         two_om = 1 << int(tables.omega[n])
-        for _ in range(pairs_per_n):
+        for _ in range(20):
             den = rng.randint(2, 64)
             lo, hi = _sample_pair(rng, den + 1)
             got = arith.phi_restricted(ranges[den][lo], ranges[den][hi], n)
@@ -230,8 +230,8 @@ def verify_haar() -> list[Check]:
     ]
 
 
-def _random_upper_points(n: int, rng: random.Random) -> list[complex]:
-    """Random points on a dyadic grid (re exactly representable after +1).
+def _random_upper_points(rng: random.Random) -> list[complex]:
+    """100 random points on a dyadic grid (re exactly representable after +1).
 
     Im lies in [0.9, RANDOM_IM_HI], where |j| < 3e5. There the inversion
     check's absolute tolerance of 1e-8 sits ten times above the largest
@@ -241,11 +241,10 @@ def _random_upper_points(n: int, rng: random.Random) -> list[complex]:
     return [complex(rng.randint(-grid // 2 + 1, grid // 2 - 1) / grid,
                     rng.randint(int(0.9 * grid), int(RANDOM_IM_HI * grid))
                     / grid)
-            for _ in range(n)]
+            for _ in range(100)]
 
 
-def verify_modular(seed: int = DEFAULT_SEED, quadruple_height: int = 20
-                   ) -> list[Check]:
+def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
     checks: list[Check] = []
     rng = random.Random(seed)
 
@@ -257,7 +256,7 @@ def verify_modular(seed: int = DEFAULT_SEED, quadruple_height: int = 20
     checks.append(("j(rho) = 0 within 1e-9",
                    abs(j_rho) < 1e-9, f"{abs(j_rho):.3g}"))
 
-    pts = _random_upper_points(100, rng)
+    pts = _random_upper_points(rng)
     per = max(abs(modular.j_invariant(p + 1).value
                   - modular.j_invariant(p).value) for p in pts)
     inv = max(abs(modular.j_invariant(-1 / p).value
@@ -271,7 +270,7 @@ def verify_modular(seed: int = DEFAULT_SEED, quadruple_height: int = 20
     checks.append(("conjugation j(-conj(tau)) = conj(j(tau)) within 1e-8",
                    conj < 1e-8, f"max {conj:.3g}"))
 
-    report = modular.boundary_realness_report(samples=100)
+    report = modular.boundary_realness_report()
     checks.append(("boundary realness: max |Im j| < 1e-8 over 300 samples",
                    report.max_boundary_im < 1e-8,
                    f"max {report.max_boundary_im:.3g}, interior control "
@@ -294,13 +293,12 @@ def verify_modular(seed: int = DEFAULT_SEED, quadruple_height: int = 20
 
     ok = True
     bad = None
-    for q in census.enumerate_classes(ClassSetId.ALL, quadruple_height):
+    for q in census.enumerate_classes(ClassSetId.ALL, 20):
         if modular.classify_by_j(q) != \
                 (classes.classify(q) is classes.ClassKind.WELL_ROUNDED):
             ok = False
             bad = q
-    checks.append((f"classify_by_j agrees with classify, height <= "
-                   f"{quadruple_height}", ok,
+    checks.append(("classify_by_j agrees with classify, height <= 20", ok,
                    "exhaustive" if ok else f"mismatch at {bad}"))
     return checks
 
@@ -333,9 +331,10 @@ def verify_geometry(quadruple_height: int = 20) -> list[Check]:
     return checks
 
 
-def verify_reduction_invariance(n_points: int = 1000, max_word: int = 10,
+def verify_reduction_invariance(n_points: int = 1000,
                                 seed: int = DEFAULT_SEED) -> list[Check]:
-    """Random exact tau in F, random word in S and T: reduction recovers tau."""
+    """Random exact tau in F, random word of length <= 10 in S and T:
+    reduction recovers tau."""
     rng = random.Random(seed)
     S = lattice.UnimodularMatrix.inversion()
     T = lattice.UnimodularMatrix.translation()
@@ -348,7 +347,7 @@ def verify_reduction_invariance(n_points: int = 1000, max_word: int = 10,
         im_sq = 1 - re * re + Fraction(rng.randint(0, 50), rng.randint(1, 10))
         tau = lattice.CanonicalTau(re, im_sq)
         g = lattice.UnimodularMatrix.identity()
-        for _ in range(rng.randint(0, max_word)):
+        for _ in range(rng.randint(0, 10)):
             g = rng.choice((S, T, Tinv)) @ g
         moved = lattice.modular_act(g, tau)
         back = lattice.canonical_tau(lattice.tau_gram(moved))

@@ -7,6 +7,7 @@ prescribed heights (see notes on the asymptotics suite).
 """
 
 import importlib.util
+import inspect
 import math
 import random
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latsim import census, classes, verify
+from latsim import census, classes, modular, verify
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -112,7 +113,7 @@ def test_counts_split_matches_totients(monkeypatch):
 
 
 def test_criterion_3_asymptotic_constants():
-    checks = [c for c in verify.verify_asymptotics(Ts=(1,))
+    checks = [c for c in verify.verify_asymptotics()
               if "constant" in c[0] or "fraction" in c[0]]
     assert len(checks) == 3
     assert_checks("3. main-term constants and 1/13 semi-stable ratio", checks)
@@ -142,13 +143,6 @@ def test_euler_pair_draws_equal_random_sample():
                 assert verify._sample_pair(rng, m) == \
                     tuple(sorted(ref.sample(range(m), 2))), (m, seed)
             assert rng.getstate() == ref.getstate()
-
-
-def test_euler_suite_below_the_phi_sum_heights():
-    # the last check reads phi_sum at T = 10^4 even for small nmax and bmax
-    checks = verify.verify_euler(nmax=300, bmax=300, pairs_per_n=2)
-    assert len(checks) == 4
-    assert all(passed for _, passed, _ in checks), checks
 
 
 def test_criterion_6_haar_quadrature():
@@ -287,6 +281,27 @@ PINNED_CHECKS = {
         "weil_height_bound of the WR quadruple = (WR height bound)^2 for "
         "all pairs with b <= 200"],
 }
+
+
+# Each suite runs one configuration: only the seed, and the sizes that the
+# benchmark's verify workload passes, are parameters.
+PINNED_PARAMETERS = {
+    "counts": ["oracle_max_T"],
+    "asymptotics": [],
+    "euler": ["seed"],
+    "haar": [],
+    "modular": ["seed"],
+    "geometry": ["quadruple_height"],
+    "reduction_invariance": ["n_points", "seed"],
+    "heights": ["quadruple_height", "wr_bmax"],
+}
+
+
+def test_suite_parameters_are_pinned():
+    assert {name: list(inspect.signature(suite).parameters)
+            for name, suite in verify.SUITES.items()} == PINNED_PARAMETERS
+    assert list(inspect.signature(
+        modular.boundary_realness_report).parameters) == []
 
 
 def test_suite_check_names_are_pinned(monkeypatch):

@@ -36,7 +36,7 @@ def scan_quadruples(T: int, semistable: bool) -> set[TauQuadruple]:
 def gcd_stream(set_id: ClassSetId, T: int):
     """The stream that the row-sliced enumeration replaced, kept as an oracle:
     a gcd test per candidate c and a validated TauQuadruple per item."""
-    a_arr, b_arr = census._coprime_pairs(T)
+    a_arr, b_arr = census._coprime_pairs(T, arith.build_sieve(T))
     pairs = zip(a_arr.tolist(), b_arr.tolist())
     if set_id is ClassSetId.WELL_ROUNDED:
         for a, b in pairs:
@@ -259,20 +259,16 @@ class TestCounters:
         for T in range(1, 201):
             for ncols in (T // 2 + 1, T + 1):
                 want = np.gcd.outer(np.arange(T + 1), np.arange(ncols)) == 1
-                for sieve in (None, tables):
-                    got = census._coprime_mask(T, ncols, sieve)
-                    assert got.dtype == bool
-                    assert np.array_equal(got, want), (T, ncols, sieve)
+                got = census._coprime_mask(T, ncols, tables)
+                assert got.dtype == bool
+                assert np.array_equal(got, want), (T, ncols)
 
     def test_struck_pairs_equal_gcd_triangle(self):
         tables = arith.build_sieve(1000)
         for T in [*range(1, 201), 1000]:
-            want = gcd_pairs(T)
-            for got in (census._coprime_pairs(T),
-                        census._coprime_pairs(T, tables)):
-                for g, w in zip(got, want):
-                    assert g.dtype == np.int32
-                    assert np.array_equal(g, w), T
+            for g, w in zip(census._coprime_pairs(T, tables), gcd_pairs(T)):
+                assert g.dtype == np.int32
+                assert np.array_equal(g, w), T
 
     def test_exactness_range_enforced_before_sieve(self, monkeypatch):
         def no_sieve(bound):
@@ -306,11 +302,35 @@ class TestCounters:
         census.census_report([37, 200])
         assert bounds == [30, 200]
 
+    def test_one_sieve_per_wr_enumeration(self, monkeypatch):
+        # the pair stream reads one sieve to T, as the counters do
+        bounds = []
+
+        def counted(bound):
+            bounds.append(bound)
+            return arith.build_sieve(bound)
+
+        monkeypatch.setattr(census, "build_sieve", counted)
+        pairs = list(census.enumerate_classes(ClassSetId.WELL_ROUNDED, 30))
+        assert bounds == [30]
+        assert len(pairs) == census.count_fast(ClassSetId.WELL_ROUNDED, 30)
+
+    def test_unknown_set_refused_before_sieve(self, monkeypatch):
+        # a set named by its string value is not a ClassSetId, and must not
+        # be counted as some other set
+        def no_sieve(bound):
+            raise AssertionError(f"sieve of bound {bound} built")
+
+        monkeypatch.setattr(census, "build_sieve", no_sieve)
+        for set_id in ("semistable", "wr", None):
+            with pytest.raises(ValueError, match="unknown class set"):
+                census.count_fast(set_id, 10)
+
     def test_wr_count_is_half_the_totient_sum(self):
         # N3(T) = floor(Phi(T)/2) + 1 against the per-b sum it replaced and
         # against the number P(T) of pairs with b <= T, at every T <= 3000
         tables = arith.build_sieve(3000)
-        _, b = census._coprime_pairs(3000)
+        _, b = census._coprime_pairs(3000, tables)
         pairs = np.cumsum(np.bincount(b, minlength=3001))
         per_b = 1 + np.cumsum((tables.phi + 1) // 2 * (np.arange(3001) >= 2))
         for T in range(1, 3001):
@@ -334,7 +354,7 @@ class TestCounters:
     def test_b_to_c_split(self):
         # N1(T) = N2(T) + sum over pairs and d of coprime c in (d, T]
         for T in (10, 25, 40):
-            a_arr, _ = census._coprime_pairs(T)
+            a_arr, _ = census._coprime_pairs(T, TABLES)
             extra = a_arr.size * sum(
                 arith.coprime_count_range(d + 1, T, d)
                 for d in range(1, T + 1))

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from latsim import verify
+from latsim import modular, verify
+from latsim.classes import TauQuadruple
 from latsim.cli import main
 
 
@@ -100,6 +101,17 @@ class TestJAndHeight:
         fields = dict(f.split("=") for f in out.split())
         value = complex(fields["j"].replace("i", "j"))
         assert abs(value - (-640320 ** 3)) <= float(fields["est_error"])
+
+    def test_j_prints_the_computed_error_bound(self, capsys):
+        # the printed bound parses back to the computed double, so it is
+        # never rounded below it
+        tau = modular.tau_of_quadruple(TauQuadruple(1, 2, 163, 4))
+        for flags, fn in (((), modular.j_invariant),
+                          (("--normalized",), modular.j_normalized)):
+            code, out, _ = run(capsys, "j", "--tau", "1,2,163,4", *flags)
+            assert code == 0
+            fields = dict(f.split("=") for f in out.split())
+            assert float(fields["est_error"]) == fn(tau).est_error, flags
 
     def test_height(self, capsys):
         code, out, _ = run(capsys, "height", "--tau", "1,2,3,4")

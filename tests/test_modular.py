@@ -117,7 +117,7 @@ def class_taus(height: int) -> list[complex]:
 
 
 def inversion_points(seed: int) -> list[complex]:
-    points = verify._random_upper_points(100, random.Random(seed))
+    points = verify._random_upper_points(random.Random(seed))
     return points + [-1 / p for p in points]
 
 
@@ -178,7 +178,7 @@ class TestSymmetries:
             worst = max(abs(modular.j_invariant(-1 / p).value
                             - modular.j_invariant(p).value)
                         for p in verify._random_upper_points(
-                            100, random.Random(seed)))
+                            random.Random(seed)))
             assert worst < 1e-8, seed
 
     def test_conjugation_symmetry(self):
@@ -212,21 +212,17 @@ class TestNormalizedArc:
 
 class TestBoundaryRealness:
     def test_boundary_is_real(self):
-        report = modular.boundary_realness_report(samples=100)
+        report = modular.boundary_realness_report()
         assert report.max_boundary_im < 1e-8
 
     def test_interior_is_not(self):
-        report = modular.boundary_realness_report(samples=10)
+        report = modular.boundary_realness_report()
         assert report.min_interior_im > 1e-3
 
     def test_imaginary_ray_values_exceed_j_of_i(self):
         v = modular.j_invariant(2j).value
         assert abs(v.imag) < 1e-10
         assert v.real > 1728
-
-    def test_sample_guard(self):
-        with pytest.raises(ValueError):
-            modular.boundary_realness_report(samples=5)
 
 
 class TestClassifyByJ:
