@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: count, enumerate, reduce, classify, j, height, verify.
-Exact fractions print as "p/q"; reals print with 12 significant digits.
-Exit codes: 0 ok, 1 failed verification, 2 usage error (argparse default).
+Exact fractions print as "p/q"; reals print with 12 significant digits, j
+and its error bound with 17, so the text parses back to the doubles.
+Exit codes: 0 ok, 1 failed verification, 2 usage error (argparse default) or
+out of memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    tau = lattice.canonical_tau(args.basis)
-    form = lattice.tau_gram(tau)
+    # one Gram form, reduced once, answers tau and all three predicates
+    form = lattice.gram(args.basis)
+    tau = lattice.canonical_tau(form)
     print(f"re={tau.re} im_sq={tau.im_sq} im={_real(tau.im)}")
     print(f"well_rounded={lattice.is_well_rounded(form)} "
           f"semistable={lattice.is_semistable(form)} "
@@ -174,7 +177,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

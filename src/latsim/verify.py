@@ -6,8 +6,9 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 N1 - N2 = N3 (Phi(T) - 1) against the totients, T <= 400
 - asymptotics:  main-term constants and convergence of relative deviations
                 along T = 50, 100, 200, 400
-- euler:        totient/divisor lemmas (n <= 10^4, 20 intervals per n) and
-                the restricted power-sum constant (b <= 5000)
+- euler:        totient/divisor lemmas (n <= 10^4; 20 intervals per n: a
+                uniform den in [2, 64], then a uniform pair 0 <= lo < hi <=
+                den) and the restricted power-sum constant (b <= 5000)
 - haar:         hyperbolic-volume quadrature against closed forms
 - modular:      j special values, symmetries on 100 random points, boundary
                 realness (100 samples per component), verdicts, height <= 20
@@ -106,8 +107,7 @@ def verify_counts(oracle_max_T: int = 40) -> list[Check]:
 
 def verify_asymptotics() -> list[Check]:
     checks: list[Check] = []
-    c1 = 39 / (8 * math.pi ** 4)
-    c2 = 3 / (8 * math.pi ** 4)
+    c1, c2, _ = census.main_terms(1)
 
     def truncated(x: float) -> str:
         # the reference decimals are truncated ("0.05004666349..."), not rounded
@@ -139,25 +139,22 @@ def verify_asymptotics() -> list[Check]:
     return checks
 
 
-def _sample_pair(rng: random.Random, m: int) -> tuple[int, int]:
-    """sorted(rng.sample(range(m), 2)) from the same draws, for m >= 2.
+def _pair_at(k: int) -> tuple[int, int]:
+    """The k-th pair 0 <= i < j, listed by j then i: k = j(j - 1)/2 + i."""
+    j = (1 + math.isqrt(8 * k + 1)) // 2
+    return k - j * (j - 1) // 2, j
 
-    CPython's sample draws k = 2 from a pool when m <= 21: the second draw
-    indexes the first m - 1 slots after the last item, m - 1, has filled the
-    first pick's slot, so a repeat means m - 1. For larger m it redraws until
-    the two differ. Like sample, randrange(k) draws with _randbelow(k), so
-    the stream of draws stays the same.
-    """
-    i = rng.randrange(m)
-    if m <= 21:
-        j = rng.randrange(m - 1)
-        if j == i:
-            j = m - 1
-    else:
-        j = rng.randrange(m)
-        while j == i:
-            j = rng.randrange(m)
-    return (i, j) if i < j else (j, i)
+
+def _worst_power_sum_deviation(tables: arith.SieveTables, bmax: int) -> float:
+    """max over b = 2..bmax of |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4),
+    as |24 S2 - phi b^2| / (6 2^omega b^2): both int64 sides stay below 2^53,
+    so each float quotient is the correctly rounded rational."""
+    _, _, s2 = arith.power_sum_tables(bmax)
+    b_sq = np.arange(2, bmax + 1, dtype=np.int64) ** 2
+    num = np.abs(24 * s2[2:] - tables.phi[2:bmax + 1] * b_sq)
+    den = 6 * (1 << tables.omega[2:bmax + 1].astype(np.int64)) * b_sq
+    assert num.max() < 2 ** 53 and den.max() < 2 ** 53
+    return float((num / den).max())
 
 
 def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
@@ -175,8 +172,9 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
         phi_n = int(tables.phi[n])
         two_om = 1 << int(tables.omega[n])
         for _ in range(20):
+            # a uniform denominator, then a uniform pair 0 <= lo < hi <= den
             den = rng.randint(2, 64)
-            lo, hi = _sample_pair(rng, den + 1)
+            lo, hi = _pair_at(rng.randrange(den * (den + 1) // 2))
             got = arith.phi_restricted(ranges[den][lo], ranges[den][hi], n)
             # |got - (hi - lo)/den * phi(n)| - 2^omega(n), scaled by den
             excess = abs(got * den - (hi - lo) * phi_n) - two_om * den
@@ -195,14 +193,7 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
                    lower_ok and upper_ok,
                    f"lower {lower_ok}, upper {upper_ok}"))
 
-    _, _, s2 = arith.power_sum_tables(bmax)
-    worst = 0.0
-    for b in range(2, bmax + 1):
-        phi_b = int(tables.phi[b])
-        two_om = 1 << int(tables.omega[b])
-        main = Fraction(phi_b * b * b, 24)
-        dev = abs(Fraction(int(s2[b])) - main) / Fraction(two_om * b * b, 4)
-        worst = max(worst, float(dev))
+    worst = _worst_power_sum_deviation(tables, bmax)
     checks.append((f"power-sum S2(b) error constant <= "
                    f"{POWER_SUM_CONSTANT:g}, b <= {bmax}",
                    worst <= POWER_SUM_CONSTANT,

@@ -8,15 +8,14 @@ prescribed heights (see notes on the asymptotics suite).
 
 import importlib.util
 import inspect
-import math
-import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from latsim import census, classes, modular, verify
+from latsim import arith, census, classes, modular, verify
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -119,6 +118,23 @@ def test_criterion_3_asymptotic_constants():
     assert_checks("3. main-term constants and 1/13 semi-stable ratio", checks)
 
 
+def test_criterion_3_reads_the_library_main_terms(monkeypatch):
+    # doubling both leading terms keeps their 1/13 ratio, so only the
+    # constant checks can see it
+    main_terms = census.main_terms
+
+    def doubled(T):
+        n1, n2, n3 = main_terms(T)
+        return 2 * n1, 2 * n2, n3
+
+    monkeypatch.setattr(census, "main_terms", doubled)
+    checks = {name: passed for name, passed, _ in verify.verify_asymptotics()
+              if "constant" in name or "fraction" in name}
+    assert checks == {"constant 39/(8 pi^4) = 0.05004666349...": False,
+                      "constant 3/(8 pi^4) = 0.00384974334...": False,
+                      "semi-stable fraction = 1/13 (~7.7%)": True}
+
+
 def test_criterion_4_asymptotic_convergence():
     checks = [c for c in verify.verify_asymptotics()
               if "decreases" in c[0] or "envelope" in c[0]]
@@ -132,17 +148,26 @@ def test_criterion_5_euler_function_lemmas():
     assert_checks("5. restricted-totient bounds, divisor bounds, "
                   "power-sum constant <= 4", checks)
     # the sampled (n, alpha, beta) triples are pinned by the seed
-    assert checks[0][2] == "worst excess -0.12766"
+    assert checks[0][2] == "worst excess -0.122449"
 
 
-def test_euler_pair_draws_equal_random_sample():
+def test_pair_at_lists_every_pair_once():
     for m in range(2, 66):
-        for seed in range(5):
-            rng, ref = random.Random(seed), random.Random(seed)
-            for _ in range(20):
-                assert verify._sample_pair(rng, m) == \
-                    tuple(sorted(ref.sample(range(m), 2))), (m, seed)
-            assert rng.getstate() == ref.getstate()
+        assert [verify._pair_at(k) for k in range(m * (m - 1) // 2)] == \
+            [(i, j) for j in range(m) for i in range(j)], m
+
+
+def test_power_sum_deviation_equals_the_fraction_loop():
+    tables = arith.build_sieve(10_000)
+    _, _, s2 = arith.power_sum_tables(5000)
+    oracle = 0.0
+    for b in range(2, 5001):
+        phi_b = int(tables.phi[b])
+        two_om = 1 << int(tables.omega[b])
+        main = Fraction(phi_b * b * b, 24)
+        dev = abs(Fraction(int(s2[b])) - main) / Fraction(two_om * b * b, 4)
+        oracle = max(oracle, float(dev))
+    assert verify._worst_power_sum_deviation(tables, 5000) == oracle
 
 
 def test_criterion_6_haar_quadrature():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latsim import modular, verify
+from latsim import census, lattice, modular, verify
 from latsim.classes import TauQuadruple
 from latsim.cli import main
 
@@ -30,6 +30,17 @@ class TestCount:
                              "--max-height", "0")
         assert code == 2 and out == ""
         assert err.strip() == "error: T must be >= 1"
+
+    def test_out_of_memory_is_an_error_not_a_traceback(self, capsys,
+                                                        monkeypatch):
+        def no_memory(set_id, T):
+            raise MemoryError("Unable to allocate 4.66 GiB")
+
+        monkeypatch.setattr(census, "count_fast", no_memory)
+        code, out, err = run(capsys, "count", "--set", "all",
+                             "--max-height", "100000")
+        assert code == 2 and out == ""
+        assert err.strip() == "error: Unable to allocate 4.66 GiB"
 
 
 class TestEnumerate:
@@ -78,6 +89,19 @@ class TestReduce:
         assert out.splitlines() == [
             "re=1/2 im_sq=9/4 im=1.5",
             "well_rounded=False semistable=False stable=False"]
+
+    def test_one_reduction_per_call(self, capsys, monkeypatch):
+        calls = []
+        lagrange = lattice._lagrange
+
+        def counted(a, b, c):
+            calls.append((a, b, c))
+            return lagrange(a, b, c)
+
+        monkeypatch.setattr(lattice, "_lagrange", counted)
+        code, out, _ = run(capsys, "reduce", "--basis", "1,0,1/2,3/2")
+        assert code == 0 and out.startswith("re=1/2 im_sq=9/4")
+        assert len(calls) == 1
 
 
 class TestJAndHeight:
