@@ -6,14 +6,14 @@ Provides:
   sums of phi
 - Restricted totient phi_{alpha,beta}(n) on open intervals (alpha*n, beta*n)
 - Coprime counting on closed integer ranges via Mobius inclusion-exclusion
-  over the signed squarefree divisors of n, memoised per n
+  over the signed squarefree divisors of n: one range at a time, or a batch
+  of ranges per n in int64 arrays with the divisors read off the sieve
 - Power sums of residues coprime to b restricted to [1, b/2]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
@@ -129,22 +129,12 @@ def _squarefree_divisors(primes: Sequence[int]) -> list[tuple[int, int]]:
     return divs
 
 
-@lru_cache(maxsize=64)
-def _signed_divisors(n: int) -> tuple[tuple[int, int], ...]:
-    """_squarefree_divisors of n's distinct primes, memoised per n.
-
-    Callers that count many ranges against one n factor it once.
-    """
-    return tuple(_squarefree_divisors(distinct_primes(n)))
-
-
 def phi_restricted(alpha: Fraction, beta: Fraction, n: int) -> int:
     """Count integers k in the open interval (alpha*n, beta*n) coprime to n.
 
     Requires 0 <= alpha < beta <= 1. Open-interval semantics: integer
     endpoints alpha*n, beta*n are excluded, so the count runs over the
-    closed range [floor(alpha*n) + 1, ceil(beta*n) - 1]. Repeated calls with
-    the same n reuse its memoised signed divisors.
+    closed range [floor(alpha*n) + 1, ceil(beta*n) - 1].
     """
     if not isinstance(alpha, (int, Fraction)):
         alpha = Fraction(alpha)
@@ -174,8 +164,48 @@ def coprime_count_range(lo: int, hi: int, n: int) -> int:
     if lo > hi:
         return 0
     total = 0
-    for e, mu_e in _signed_divisors(n):
+    for e, mu_e in _squarefree_divisors(distinct_primes(n)):
         total += mu_e * (hi // e - (lo - 1) // e)
+    return total
+
+
+def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
+                   tables: SieveTables) -> np.ndarray:
+    """coprime_count_range(lo[r, c], hi[r, c], n[r]) for every entry, int64.
+
+    lo and hi have shape (len(n), m), n is 1-d with 1 <= n <= tables.bound,
+    and every |lo|, |hi| is below 2^62. Each round strips the smallest prime
+    p of what is left of n and doubles the divisor columns: e * p with the
+    sign flipped, or where nothing is left a pad (e, 0) that adds nothing,
+    so every row ends with 2^max(omega) columns. The Mobius sum then adds
+    one column at a time; an int64 sum that wraps still ends on the exact
+    count, which fits.
+    """
+    lo, hi, n = (np.asarray(a, dtype=np.int64) for a in (lo, hi, n))
+    if n.ndim != 1 or lo.ndim != 2 or hi.shape != lo.shape \
+            or len(lo) != len(n):
+        raise ValueError("need 1-d n and lo, hi of shape (len(n), m)")
+    if n.size and (n.min() < 1 or n.max() > tables.bound):
+        raise ValueError(f"need 1 <= n <= sieve bound {tables.bound}")
+    if lo.size and not (-2 ** 62 < min(lo.min(), hi.min())
+                        and max(lo.max(), hi.max()) < 2 ** 62):
+        raise ValueError("need |lo|, |hi| < 2^62")
+    if (lo > hi + 1).any():
+        raise ValueError("need lo <= hi + 1")
+    e = np.ones((len(n), 1), dtype=np.int64)
+    mu = np.ones((len(n), 1), dtype=np.int64)
+    rest = n.copy()
+    while (rest > 1).any():
+        p = tables.spf[rest]  # spf[1] = 1: rows with nothing left pad
+        e = np.hstack([e, e * p[:, None]])
+        mu = np.hstack([mu, np.where(rest[:, None] > 1, -mu, 0)])
+        while (left := (rest % p == 0) & (rest > 1)).any():
+            rest[left] //= p[left]
+    lo_1 = lo - 1
+    total = np.zeros(lo.shape, dtype=np.int64)
+    for c in range(e.shape[1]):
+        e_c = e[:, c:c + 1]
+        total += mu[:, c:c + 1] * (hi // e_c - lo_1 // e_c)
     return total
 
 

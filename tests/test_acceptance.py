@@ -8,6 +8,8 @@ prescribed heights (see notes on the asymptotics suite).
 
 import importlib.util
 import inspect
+import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +157,44 @@ def test_pair_at_lists_every_pair_once():
     for m in range(2, 66):
         assert [verify._pair_at(k) for k in range(m * (m - 1) // 2)] == \
             [(i, j) for j in range(m) for i in range(j)], m
+
+
+def test_pairs_at_equals_pair_at():
+    k = np.arange(64 * 65 // 2, dtype=np.int64)
+    i, j = verify._pairs_at(k)
+    assert list(zip(i.tolist(), j.tolist())) == \
+        [verify._pair_at(int(x)) for x in k]
+
+
+def euler_lemma_scalar(seed):
+    """The restricted-totient check with one phi_restricted per interval."""
+    tables = arith.build_sieve(10_000)
+    rng = random.Random(seed)
+    worst, ok = -math.inf, True
+    for n in range(2, 10_001):
+        phi_n = int(tables.phi[n])
+        two_om = 1 << int(tables.omega[n])
+        for _ in range(20):
+            den = rng.randint(2, 64)
+            lo, hi = verify._pair_at(rng.randrange(den * (den + 1) // 2))
+            got = arith.phi_restricted(Fraction(lo, den), Fraction(hi, den), n)
+            excess = abs(got * den - (hi - lo) * phi_n) - two_om * den
+            worst = max(worst, excess / den)
+            ok = ok and excess <= 0
+    return ok, f"worst excess {worst:g}"
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1])
+def test_euler_lemma_equals_the_scalar_loop(seed):
+    _, ok, detail = verify.verify_euler(seed)[0]
+    assert (ok, detail) == euler_lemma_scalar(seed)
+
+
+def test_euler_lemma_fails_on_zero_counts(monkeypatch):
+    monkeypatch.setattr(arith, "coprime_counts",
+                        lambda lo, hi, n, tables: np.zeros_like(lo))
+    name, ok, _ = verify.verify_euler()[0]
+    assert name.startswith("|phi_ab(n)") and not ok
 
 
 def test_power_sum_deviation_equals_the_fraction_loop():

@@ -209,25 +209,6 @@ class TestPhiRestricted:
                 assert abs(got - (b - a) * phi_n) <= two_om
 
 
-class TestSignedDivisorMemo:
-    def test_twenty_ranges_factor_n_once(self, monkeypatch):
-        calls = []
-        distinct_primes = arith.distinct_primes
-
-        def counting(n):
-            calls.append(n)
-            return distinct_primes(n)
-
-        monkeypatch.setattr(arith, "distinct_primes", counting)
-        arith._signed_divisors.cache_clear()
-        n = 60
-        for k in range(20):
-            a, b = Fraction(k, 40), Fraction(k + 20, 40)
-            assert arith.phi_restricted(a, b, n) == \
-                phi_restricted_scan(a, b, n)
-        assert calls == [n]
-
-
 class TestDistinctPrimes:
     def test_table_walk_equals_trial_division(self):
         for n in range(1, 10_001):
@@ -273,6 +254,58 @@ class TestCoprimeCountRange:
             hi = lo + rng.randint(-1, 100)
             assert arith.coprime_count_range(lo, hi, n) == \
                 coprime_count_scan(lo, hi, n)
+
+
+class TestCoprimeCounts:
+    def check(self, lo, hi, n):
+        got = arith.coprime_counts(lo, hi, n, TABLES)
+        assert got.dtype == np.int64 and got.shape == np.shape(lo)
+        want = [[coprime_count_scan(a, b, m) for a, b in zip(row_lo, row_hi)]
+                for row_lo, row_hi, m in zip(lo, hi, n)]
+        assert got.tolist() == want
+
+    def test_equals_scan_random(self):
+        rng = random.Random(19)
+        for _ in range(20):
+            n = [rng.randint(1, 10_000) for _ in range(rng.randint(1, 40))]
+            lo = [[rng.randint(-50, m) for _ in range(5)] for m in n]
+            hi = [[a + rng.randint(-1, 200) for a in row] for row in lo]
+            self.check(lo, hi, n)
+
+    def test_empty_ranges_and_n_1(self):
+        n = [1, 1, 2310, 9973]
+        lo = [[0, 5, -3], [7, 0, 1], [4, 0, 100], [1, 9973, 50]]
+        self.check(lo, [[a - 1 for a in row] for row in lo], n)
+        self.check([[-5, 0, 1]], [[5, 10, 100]], [1])
+
+    def test_primes_near_the_bound(self):
+        primes = [p for p in range(9900, 10_001) if TABLES.spf[p] == p]
+        lo = [[0, 1, p - 3, p // 2] for p in primes]
+        hi = [[p, p - 1, p + 3, p + 20] for p in primes]
+        self.check(lo, hi, primes)
+
+    def test_every_n_with_five_primes(self):
+        n = [m for m in range(1, 10_001) if TABLES.omega[m] == 5]
+        assert n[:2] == [2310, 2730] and len(n) == 33
+        rng = random.Random(23)
+        lo = [[rng.randint(0, m) for _ in range(3)] + [0] for m in n]
+        hi = [[a + rng.randint(-1, 300) for a in row[:3]] + [m]
+              for row, m in zip(lo, n)]
+        self.check(lo, hi, n)
+        # mixed with omega 0..4 rows, which are padded to 32 columns
+        mixed = n + [1, 2, 6, 30, 210]
+        self.check([[1]] * len(mixed), [[m] for m in mixed], mixed)
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        ([[1]], [[5]], [TABLES.bound + 1]),   # beyond the sieve
+        ([[1]], [[5]], [0]),
+        ([[1, 5]], [[3, 3]], [7]),            # lo > hi + 1
+        ([[-2 ** 62]], [[5]], [7]),           # lo - 1 could wrap
+        ([1, 2], [3, 4], [7, 8]),             # 1-d ranges
+    ])
+    def test_refusals(self, lo, hi, n):
+        with pytest.raises(ValueError):
+            arith.coprime_counts(lo, hi, n, TABLES)
 
 
 class TestRestrictedPowerSum:
