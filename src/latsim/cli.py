@@ -17,9 +17,7 @@ from fractions import Fraction
 from . import census, classes, lattice, modular, verify
 from .census import ClassSetId
 
-SET_IDS = {"all": ClassSetId.ALL,
-           "semistable": ClassSetId.SEMISTABLE,
-           "wr": ClassSetId.WELL_ROUNDED}
+SET_IDS = {s.value: s for s in ClassSetId}
 
 
 def _real(x: float) -> str:

@@ -9,7 +9,9 @@ prescribed heights (see notes on the asymptotics suite).
 import importlib.util
 import inspect
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -150,37 +152,57 @@ def test_criterion_5_euler_function_lemmas():
     assert_checks("5. restricted-totient bounds, divisor bounds, "
                   "power-sum constant <= 4", checks)
     # the sampled (n, alpha, beta) triples are pinned by the seed
-    assert checks[0][2] == "worst excess -0.122449"
+    assert checks[0][2] == "worst excess -0.115385"
 
 
-def test_pair_at_lists_every_pair_once():
-    for m in range(2, 66):
-        assert [verify._pair_at(k) for k in range(m * (m - 1) // 2)] == \
-            [(i, j) for j in range(m) for i in range(j)], m
+def euler_draws(seed):
+    """(n, den, lo, hi) per block of a verify_euler run, as it draws them."""
+    rng = random.Random(seed)
+    for start in range(2, 10_001, verify.EULER_BLOCK):
+        n = np.arange(start, min(start + verify.EULER_BLOCK, 10_001))
+        yield (n, *verify._euler_intervals(rng, len(n)))
 
 
-def test_pairs_at_equals_pair_at():
-    k = np.arange(64 * 65 // 2, dtype=np.int64)
-    i, j = verify._pairs_at(k)
-    assert list(zip(i.tolist(), j.tolist())) == \
-        [verify._pair_at(int(x)) for x in k]
+def test_euler_draws_are_intervals_of_their_ranges():
+    for _, den, lo, hi in euler_draws(verify.DEFAULT_SEED):
+        assert den.shape == lo.shape == hi.shape == (len(den), 20)
+        assert ((2 <= den) & (den <= 64)).all()
+        assert ((0 <= lo) & (lo < hi) & (hi <= den)).all()
+
+
+def test_euler_draws_reach_every_small_interval():
+    seen = set()
+    for _, den, lo, hi in euler_draws(verify.DEFAULT_SEED):
+        small = den <= 8
+        seen.update(zip(den[small].tolist(), lo[small].tolist(),
+                        hi[small].tolist()))
+    assert seen == {(den, lo, hi) for den in range(2, 9)
+                    for hi in range(1, den + 1) for lo in range(hi)}
+
+
+def test_euler_draws_are_pinned_by_the_seed():
+    first, second = (verify._euler_intervals(random.Random(7), 300)
+                     for _ in range(2))
+    for x, y in zip(first, second):
+        assert x.dtype == y.dtype == np.int64
+        assert np.array_equal(x, y)
 
 
 def euler_lemma_scalar(seed):
     """The restricted-totient check with one phi_restricted per interval."""
     tables = arith.build_sieve(10_000)
-    rng = random.Random(seed)
     worst, ok = -math.inf, True
-    for n in range(2, 10_001):
-        phi_n = int(tables.phi[n])
-        two_om = 1 << int(tables.omega[n])
-        for _ in range(20):
-            den = rng.randint(2, 64)
-            lo, hi = verify._pair_at(rng.randrange(den * (den + 1) // 2))
-            got = arith.phi_restricted(Fraction(lo, den), Fraction(hi, den), n)
-            excess = abs(got * den - (hi - lo) * phi_n) - two_om * den
-            worst = max(worst, excess / den)
-            ok = ok and excess <= 0
+    for ns, dens, los, his in euler_draws(seed):
+        for n, den_row, lo_row, hi_row in zip(ns.tolist(), dens.tolist(),
+                                              los.tolist(), his.tolist()):
+            phi_n = int(tables.phi[n])
+            two_om = 1 << int(tables.omega[n])
+            for den, lo, hi in zip(den_row, lo_row, hi_row):
+                got = arith.phi_restricted(Fraction(lo, den),
+                                           Fraction(hi, den), n)
+                excess = abs(got * den - (hi - lo) * phi_n) - two_om * den
+                worst = max(worst, excess / den)
+                ok = ok and excess <= 0
     return ok, f"worst excess {worst:g}"
 
 
@@ -188,6 +210,21 @@ def euler_lemma_scalar(seed):
 def test_euler_lemma_equals_the_scalar_loop(seed):
     _, ok, detail = verify.verify_euler(seed)[0]
     assert (ok, detail) == euler_lemma_scalar(seed)
+
+
+def test_verify_suites_leave_numpy_random_unloaded():
+    # importing numpy.random alone adds about 6.5 MB to a run's peak RSS
+    code = ("import contextlib, io, sys\n"
+            "from latsim import verify\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for name in verify.SUITES:\n"
+            "        verify.run_suite(name)\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy.random' "
+            "or m.startswith('numpy.random.')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(verify.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_euler_lemma_fails_on_zero_counts(monkeypatch):

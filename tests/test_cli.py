@@ -63,6 +63,26 @@ class TestEnumerate:
         assert [(r["a"], r["b"], r["height"]) for r in records] == \
             [(0, 1, 1), (1, 2, 2), (1, 3, 3)]
 
+    @pytest.mark.parametrize("set_name, fmt, lines", [
+        ("all", "csv", ["0,1,1,1,WellRounded,1",
+                        "0,1,2,1,NotSemiStable,2",
+                        "1,2,1,1,SemiStableNotWR,2",
+                        "1,2,2,1,NotSemiStable,2"]),
+        ("all", "plain", ["(0,1,1,1) WellRounded height=1",
+                          "(0,1,2,1) NotSemiStable height=2",
+                          "(1,2,1,1) SemiStableNotWR height=2",
+                          "(1,2,2,1) NotSemiStable height=2"]),
+        # WR pairs print as their quadruples, with the pair height
+        ("wr", "csv", ["0,1,1,1,WellRounded,1",
+                       "1,2,3,4,WellRounded,2"]),
+        ("wr", "plain", ["(0,1,1,1) WellRounded height=1",
+                         "(1,2,3,4) WellRounded height=2"]),
+    ])
+    def test_text_formats(self, capsys, set_name, fmt, lines):
+        code, out, _ = run(capsys, "enumerate", "--set", set_name,
+                           "--max-height", "2", "--format", fmt)
+        assert code == 0 and out.splitlines() == lines
+
 
 class TestClassify:
     def test_wr_prints_both_heights(self, capsys):
