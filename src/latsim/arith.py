@@ -174,12 +174,12 @@ def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
     """coprime_count_range(lo[r, c], hi[r, c], n[r]) for every entry, int64.
 
     lo and hi have shape (len(n), m), n is 1-d with 1 <= n <= tables.bound,
-    and every |lo|, |hi| is below 2^62. Each round strips the smallest prime
-    p of what is left of n and doubles the divisor columns: e * p with the
-    sign flipped, or where nothing is left a pad (e, 0) that adds nothing,
-    so every row ends with 2^max(omega) columns. The Mobius sum then adds
-    one column at a time; an int64 sum that wraps still ends on the exact
-    count, which fits.
+    and every |lo|, |hi| is below 2^62. The divisor e = 1 gives hi - lo + 1.
+    Each round then keeps the rows with a prime left in n, strips the
+    smallest, p, and adds the divisors that p doubles: e * p with the sign
+    flipped, over those rows only, so a row takes 2^omega(n) divisors and
+    no pads. An int64 sum that wraps still ends on the exact count, which
+    fits.
     """
     lo, hi, n = (np.asarray(a, dtype=np.int64) for a in (lo, hi, n))
     if n.ndim != 1 or lo.ndim != 2 or hi.shape != lo.shape \
@@ -192,21 +192,30 @@ def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
         raise ValueError("need |lo|, |hi| < 2^62")
     if (lo > hi + 1).any():
         raise ValueError("need lo <= hi + 1")
+    lo_1 = lo - 1
+    total = hi - lo_1
+    # the rows with a prime left, what is left of their n, and the divisors
+    # found so far with their Mobius signs
+    rows = np.arange(len(n))
+    rest = n.copy()
     e = np.ones((len(n), 1), dtype=np.int64)
     mu = np.ones((len(n), 1), dtype=np.int64)
-    rest = n.copy()
-    while (rest > 1).any():
-        p = tables.spf[rest]  # spf[1] = 1: rows with nothing left pad
-        e = np.hstack([e, e * p[:, None]])
-        mu = np.hstack([mu, np.where(rest[:, None] > 1, -mu, 0)])
-        while (left := (rest % p == 0) & (rest > 1)).any():
-            rest[left] //= p[left]
-    lo_1 = lo - 1
-    total = np.zeros(lo.shape, dtype=np.int64)
-    for c in range(e.shape[1]):
-        e_c = e[:, c:c + 1]
-        total += mu[:, c:c + 1] * (hi // e_c - lo_1 // e_c)
-    return total
+    while True:
+        left = rest > 1
+        rows, rest, e, mu = rows[left], rest[left], e[left], mu[left]
+        if not rows.size:
+            return total
+        p = tables.spf[rest]
+        while (div := rest % p == 0).any():
+            rest[div] //= p[div]
+        e_p, mu_p = e * p[:, None], -mu
+        hi_r, lo_r = hi[rows], lo_1[rows]
+        part = np.zeros_like(hi_r)
+        for c in range(e_p.shape[1]):
+            e_c = e_p[:, c:c + 1]
+            part += mu_p[:, c:c + 1] * (hi_r // e_c - lo_r // e_c)
+        total[rows] += part
+        e, mu = np.hstack([e, e_p]), np.hstack([mu, mu_p])
 
 
 def power_sum_tables(bmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

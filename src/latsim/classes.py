@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .lattice import CanonicalTau
@@ -62,7 +61,7 @@ class TauQuadruple:
 
     @property
     def tau(self) -> CanonicalTau:
-        return CanonicalTau(Fraction(self.a, self.b), Fraction(self.c, self.d))
+        return CanonicalTau.from_integers(self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)
@@ -78,10 +77,16 @@ class WrPair:
             raise RangeError(f"invalid well-rounded pair ({a},{b})")
 
 
+def is_wr_entries(a, b, c, d):
+    """Whether (a, b, c, d) is a well-rounded class: d = b^2 and
+    c = b^2 - a^2. Takes ints, or int64 columns for a bool column."""
+    bsq = b * b
+    return (d == bsq) & (c == bsq - a * a)
+
+
 def classify(q: TauQuadruple) -> ClassKind:
     """Partition a valid quadruple into WR / semi-stable-not-WR / not semi-stable."""
-    bsq = q.b * q.b
-    if q.d == bsq and q.c == bsq - q.a * q.a:
+    if is_wr_entries(q.a, q.b, q.c, q.d):
         return ClassKind.WELL_ROUNDED
     if q.c <= q.d:
         return ClassKind.SEMISTABLE_NOT_WR

@@ -1,12 +1,16 @@
 """Exact planar lattice geometry over the rationals.
 
 Bases, Gram forms and half-plane points carry Fraction entries, but every
-decision runs on integers. A Gram form is scaled to its primitive integer
-form (A, B, C) and Lagrange-reduced once; the reduction is cached on the
-form. Successive minima, the canonical fundamental-domain representative and
-the predicates (well-rounded, semi-stable, stable) are read off the reduced
+decision runs on integers. The GramForm constructor scales the form to its
+primitive integer form (A, B, C) and Lagrange-reduces it, once per form.
+Successive minima, the canonical fundamental-domain representative and the
+predicates (well-rounded, semi-stable, stable) are read off the reduced
 integer form, and constructors validate by integer cross-multiplication.
-Nothing takes a square root: everything is decided on squared quantities.
+Code that already holds the integers passes them on, and the checks run on
+them: tau_gram hands its integer form to the form's check and reduction, and
+canonical_tau, modular_act and TauQuadruple.tau build points with
+HalfPlanePoint.from_integers. Nothing takes a square root: everything is
+decided on squared quantities.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Union
 
 Vec = tuple[Fraction, Fraction]
+
+# the frozen classes below set their fields through this in their
+# constructors
+_setattr = object.__setattr__
+_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -82,8 +90,8 @@ class PlanarLattice:
     v2: Vec
 
     def __init__(self, v1, v2):
-        object.__setattr__(self, "v1", _frac_pair(v1))
-        object.__setattr__(self, "v2", _frac_pair(v2))
+        _setattr(self, "v1", _frac_pair(v1))
+        _setattr(self, "v2", _frac_pair(v2))
         if self.det == 0:
             raise ValueError("basis is singular")
 
@@ -94,7 +102,11 @@ class PlanarLattice:
 
 @dataclass(frozen=True)
 class GramForm:
-    """Positive definite binary quadratic form (Gram matrix of a basis)."""
+    """Positive definite binary quadratic form (Gram matrix of a basis).
+
+    Each constructor checks the form and Lagrange-reduces its primitive
+    integer form, once; equality, hash and repr read the entries only.
+    """
 
     g11: Fraction
     g12: Fraction
@@ -102,28 +114,43 @@ class GramForm:
 
     def __init__(self, g11, g12, g22):
         g11, g12, g22 = _frac(g11), _frac(g12), _frac(g22)
-        object.__setattr__(self, "g11", g11)
-        object.__setattr__(self, "g12", g12)
-        object.__setattr__(self, "g22", g22)
-        n11, d11 = g11.numerator, g11.denominator
-        n12, d12 = g12.numerator, g12.denominator
-        n22, d22 = g22.numerator, g22.denominator
-        # det > 0 times the positive d11 d22 d12^2
-        if not (n11 > 0 and n22 > 0
-                and n11 * n22 * d12 * d12 > n12 * n12 * d11 * d22):
-            raise ValueError("Gram form is not positive definite")
+        d11, d12, d22 = g11.denominator, g12.denominator, g22.denominator
+        den = math.lcm(d11, d12, d22)
+        self._reduce(g11, g12, g22, g11.numerator * (den // d11),
+                     g12.numerator * (den // d12),
+                     g22.numerator * (den // d22), den)
 
-    @cached_property
-    def _reduction(self) -> _Reduction:
-        """The form reduced once: L*(g11, g12, g22)/g is primitive for L the
-        lcm of the denominators and g the gcd of the scaled entries."""
-        g11, g12, g22 = self.g11, self.g12, self.g22
-        den = math.lcm(g11.denominator, g12.denominator, g22.denominator)
-        a = g11.numerator * (den // g11.denominator)
-        b = g12.numerator * (den // g12.denominator)
-        c = g22.numerator * (den // g22.denominator)
+    @classmethod
+    def _of_reduction(cls, r: _Reduction) -> "GramForm":
+        """The reduced form r.num * (r.a, r.b, r.c) / r.den, which is its own
+        reduction (u = 1); raises unless r names a reduced primitive form."""
+        a, b, c, num, den = r.a, r.b, r.c, r.num, r.den
+        if not (0 <= 2 * b <= a <= c and a * c > b * b and num >= 1
+                and den >= 1 and math.gcd(a, b, c) == 1):
+            raise ValueError("not a reduced primitive form")
+        form = cls.__new__(cls)
+        form._set(Fraction(a * num, den), Fraction(b * num, den),
+                  Fraction(c * num, den), r._replace(u=(1, 0, 0, 1)))
+        return form
+
+    def _reduce(self, g11: Fraction, g12: Fraction, g22: Fraction,
+                a: int, b: int, c: int, den: int) -> None:
+        """Check the form, with (a, b, c) = den*(g11, g12, g22) integers
+        and den >= 1, and set its entries and the reduction of
+        (a, b, c)/gcd(a, b, c). The constructor and tau_gram call it."""
+        if not (a > 0 and c > 0 and a * c > b * b):
+            raise ValueError("Gram form is not positive definite")
         num = math.gcd(a, b, c)
-        return _Reduction(*_lagrange(a // num, b // num, c // num), num, den)
+        self._set(g11, g12, g22,
+                  _Reduction(*_lagrange(a // num, b // num, c // num),
+                             num, den))
+
+    def _set(self, g11: Fraction, g12: Fraction, g22: Fraction,
+             reduction: _Reduction) -> None:
+        _setattr(self, "g11", g11)
+        _setattr(self, "g12", g12)
+        _setattr(self, "g22", g22)
+        _setattr(self, "_reduction", reduction)
 
     @property
     def det(self) -> Fraction:
@@ -143,9 +170,30 @@ class HalfPlanePoint:
     im_sq: Fraction
 
     def __init__(self, re, im_sq):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im_sq", _frac(im_sq))
-        if self.im_sq.numerator <= 0:
+        re, im_sq = _frac(re), _frac(im_sq)
+        self._check(re.numerator, re.denominator,
+                    im_sq.numerator, im_sq.denominator)
+        _setattr(self, "re", re)
+        _setattr(self, "im_sq", im_sq)
+
+    @classmethod
+    def from_integers(cls, p: int, q: int, r: int, s: int) -> "HalfPlanePoint":
+        """The point with re = p/q and im_sq = r/s, integers with q, s >= 1,
+        checked as the constructor checks."""
+        if q < 1 or s < 1:
+            raise ValueError("denominators must be >= 1")
+        cls._check(p, q, r, s)
+        point = cls.__new__(cls)
+        _setattr(point, "re", Fraction(p, q))
+        _setattr(point, "im_sq", Fraction(r, s))
+        return point
+
+    @staticmethod
+    def _check(p: int, q: int, r: int, s: int) -> None:
+        """Raise unless re = p/q and im_sq = r/s (q, s >= 1) name a point of
+        this class; every test is scale-free, so p/q, r/s need not be in
+        lowest terms."""
+        if r <= 0:
             raise ValueError("point must lie in the open upper half-plane")
 
     @property
@@ -157,10 +205,9 @@ class CanonicalTau(HalfPlanePoint):
     """The unique representative of a similarity class: 0 <= re <= 1/2 and
     re^2 + im_sq >= 1."""
 
-    def __init__(self, re, im_sq):
-        super().__init__(re, im_sq)
-        p, q = self.re.numerator, self.re.denominator
-        r, s = self.im_sq.numerator, self.im_sq.denominator
+    @staticmethod
+    def _check(p: int, q: int, r: int, s: int) -> None:
+        HalfPlanePoint._check(p, q, r, s)
         if not (0 <= p and 2 * p <= q):
             raise ValueError("re outside [0, 1/2]")
         # re^2 + im_sq >= 1 times q^2 s
@@ -177,17 +224,17 @@ class UnimodularMatrix:
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise ValueError("determinant must be +1")
+        # one call sets all four fields: products build many matrices
+        _setattr(self, "__dict__", {"a": a, "b": b, "c": c, "d": d})
 
     def __matmul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
+        return UnimodularMatrix(a * e + b * g, a * f + b * h,
+                                c * e + d * g, c * f + d * h)
 
     @classmethod
     def identity(cls) -> "UnimodularMatrix":
@@ -223,7 +270,7 @@ def reduce_gram(form: GramForm) -> tuple[GramForm, tuple[int, int, int, int]]:
     w1 = u11*v1 + u21*v2, w2 = u12*v1 + u22*v2 of the old ones.
     """
     r = form._reduction
-    return GramForm(*(Fraction(x * r.num, r.den) for x in r[:3])), r.u
+    return GramForm._of_reduction(r), r.u
 
 
 def gauss_reduce(lattice: PlanarLattice) -> tuple[PlanarLattice, Fraction, Fraction]:
@@ -256,14 +303,22 @@ def canonical_tau(obj: GramLike) -> CanonicalTau:
     im_sq = (|x|^2 |y|^2 - <x,y>^2) / |x|^4, both exact rationals.
     """
     a, b, c = _as_gram(obj)._reduction[:3]
-    return CanonicalTau(Fraction(b, a), Fraction(a * c - b * b, a * a))
+    return CanonicalTau.from_integers(b, a, a * c - b * b, a * a)
 
 
 def tau_gram(point: HalfPlanePoint) -> GramForm:
-    """Gram form of the lattice spanned by (1, 0) and (re, im)."""
+    """Gram form of the lattice spanned by (1, 0) and (re, im).
+
+    With re = p/q and im_sq = r/s it is (q^2 s, p q s, p^2 s + r q^2)
+    over q^2 s.
+    """
     p, q = point.re.numerator, point.re.denominator
     r, s = point.im_sq.numerator, point.im_sq.denominator
-    return GramForm(1, point.re, Fraction(p * p * s + r * q * q, q * q * s))
+    qs = q * s
+    den, c = q * qs, p * p * s + r * q * q
+    form = GramForm.__new__(GramForm)
+    form._reduce(_ONE, point.re, Fraction(c, den), den, p * qs, c, den)
+    return form
 
 
 def successive_minima_sq(obj: GramLike) -> tuple[Fraction, Fraction]:
@@ -305,5 +360,6 @@ def modular_act(g: UnimodularMatrix, tau: HalfPlanePoint) -> HalfPlanePoint:
     x = g.c * p + g.d * q
     q2 = q * q
     n = x * x * s + g.c * g.c * r * q2
-    re = Fraction((g.a * p + g.b * q) * x * s + g.a * g.c * r * q2, n)
-    return HalfPlanePoint(re, Fraction(r * s * q2 * q2, n * n))
+    return HalfPlanePoint.from_integers(
+        (g.a * p + g.b * q) * x * s + g.a * g.c * r * q2, n,
+        r * s * q2 * q2, n * n)

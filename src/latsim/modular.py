@@ -18,6 +18,16 @@ first order in the unit roundoff.
 
 Normalization j(i) = 1728; j_normalized = j / 1728 maps the well-rounded arc
 |tau| = 1 onto [0, 1].
+
+j_columns takes a column of points. Its reduction takes the scalar steps on
+the entries still outside the domain, rounds them as the scalar does (the
+inversion follows CPython's complex division) and keeps the same drift. The
+series, the bound and the well-rounded verdict are the scalar ones
+(_j_series, _error_bound, _wr_verdict), applied to whole arrays; numpy's
+complex products and quotients may round otherwise than CPython's, and the
+bound's rounding terms cover both. The bound assumes numpy's float64 exp,
+sin and cos within 1 ULP, the figure numpy's own accuracy tests hold them
+to, as it assumes of the math module's.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .classes import TauQuadruple
 
@@ -39,8 +51,12 @@ Q_MAX = 0.00434         # |q| on the reduced domain, exp(-pi*sqrt(3)) rounded up
 E6_BOUND = 3.6          # |E6| <= 1 + 504 * sum sigma_5(n) Q_MAX^n = 3.51 there
 # Relative rounding of -1/tau. CPython divides by Smith's method: 5U.
 INVERSION_ROUNDING = 6 * U
-# Relative rounding of a complex product (Brent, Percival, Zimmermann).
+# Relative rounding of a complex product (Brent, Percival, Zimmermann);
+# numpy's products, which fuse one multiply and add per part, stay within
+# 2U (Jeannerod, Kornerup, Louvet, Muller).
 MUL_ROUNDING = math.sqrt(5) * U
+# classify_by_j's tolerances on j/1728: |Im| below it, Re within it of [0, 1]
+WR_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -119,8 +135,44 @@ _E4_ERROR = (240 * ZETA3 * _geometric_tail(Q_MAX, J_TERMS, 3)
 _DELTA_ERROR = 24 * (_geometric_tail(Q_MAX, J_TERMS, 0) / (1.0 - Q_MAX)
                      + J_TERMS * U + (J_TERMS + 2) * MUL_ROUNDING)
 # relative rounding of j: Delta, e4**3 (two products) and the quotient
-# (Smith's method, at most (4 + 2*sqrt(2))U)
-_J_RELATIVE_ERROR = _DELTA_ERROR + 2 * MUL_ROUNDING + 7 * U
+# (Smith's method, at most (4 + 2*sqrt(2))U as CPython divides, and one
+# rounding more as numpy does, which multiplies by a rounded reciprocal)
+_J_RELATIVE_ERROR = _DELTA_ERROR + 2 * MUL_ROUNDING + 8 * U
+
+
+def _j_series(q):
+    """(E4, Delta, E4^3 / Delta) at the nome q, from J_TERMS terms of both
+    series; q is a complex or a complex column."""
+    qn = e4 = prod = 1.0 + 0.0j
+    for c in _E4_COEFFS:
+        qn *= q
+        e4 += c * qn
+        prod *= 1.0 - qn
+    delta = q * prod ** 24
+    return e4, delta, e4 ** 3 / delta
+
+
+def _error_bound(e4, delta, value, im, drift):
+    """est_error of j = value (module docstring), from _j_series at a
+    reduced point of imaginary part im that the reduction reached with this
+    drift; for floats or for float columns."""
+    # q is off by (1.35 * 2*pi*Im + 6.6)U relatively (exp, sin, cos and
+    # math.pi), which moves tau by that over 2*pi; the reduction moves it
+    # by the drift term
+    shift = (1.5 * im + 1.2) * U + INVERSION_ROUNDING * im * drift
+    # |E4 - e4| <= d moves the cube by at most (|e4| + d)^3 - |e4|^3; a
+    # move of tau costs |dj/dtau| <= 2*pi*|E4|^2*E6_BOUND/|Delta| per unit
+    e4_max = abs(e4) + _E4_ERROR
+    abs_delta = abs(delta)
+    return ((e4_max ** 3 - abs(e4) ** 3) / abs_delta
+            + abs(value) * _J_RELATIVE_ERROR
+            + 2 * math.pi * e4_max ** 2 * E6_BOUND / abs_delta * shift)
+
+
+def _check_reduced_im(im: float) -> None:
+    if im > MAX_IM:
+        raise ValueError(f"Im tau = {im:g} too large after reduction "
+                         f"(limit {MAX_IM:g})")
 
 
 def j_invariant(tau: complex) -> JValue:
@@ -130,32 +182,80 @@ def j_invariant(tau: complex) -> JValue:
     Im tau > 100 (q^-1 would overflow).
     """
     tau, drift = reduce_to_fundamental_domain(complex(tau))
-    if tau.imag > MAX_IM:
-        raise ValueError(f"Im tau = {tau.imag:g} too large after reduction "
-                         f"(limit {MAX_IM:g})")
+    _check_reduced_im(tau.imag)
+    e4, delta, value = _j_series(_nome(tau))
+    return JValue(value=value,
+                  est_error=_error_bound(e4, delta, value, tau.imag, drift))
 
-    q = _nome(tau)
-    qn = e4 = prod = 1.0 + 0.0j
-    for c in _E4_COEFFS:
-        qn *= q
-        e4 += c * qn
-        prod *= 1.0 - qn
-    delta = q * prod ** 24
-    value = e4 ** 3 / delta
 
-    # q is off by (1.35 * 2*pi*Im + 6.6)U relatively (exp, sin, cos and
-    # math.pi), which moves tau by that over 2*pi; the reduction moves it
-    # by the drift term
-    shift = ((1.5 * tau.imag + 1.2) * U
-             + INVERSION_ROUNDING * tau.imag * drift)
-    # |E4 - e4| <= d moves the cube by at most (|e4| + d)^3 - |e4|^3; a
-    # move of tau costs |dj/dtau| <= 2*pi*|E4|^2*E6_BOUND/|Delta| per unit
-    e4_max = abs(e4) + _E4_ERROR
-    abs_delta = abs(delta)
-    est_error = ((e4_max ** 3 - abs(e4) ** 3) / abs_delta
-                 + abs(value) * _J_RELATIVE_ERROR
-                 + 2 * math.pi * e4_max ** 2 * E6_BOUND / abs_delta * shift)
-    return JValue(value=value, est_error=est_error)
+def reduce_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reduce_to_fundamental_domain of each entry of a 1-d complex column.
+
+    Each round translates the entries not yet known to lie in the domain
+    and inverts those still inside the unit circle, as the scalar loop does
+    for one point, so each entry gets the scalar's steps and drift.
+    """
+    tau = np.array(tau, dtype=complex)
+    if tau.ndim != 1:
+        raise ValueError("need a 1-d column of points")
+    if not (tau.imag > 0).all():
+        raise ValueError("tau must lie in the open upper half-plane")
+    drift = np.zeros(tau.size)
+    rows = np.arange(tau.size)
+    for _ in range(MAX_REDUCE_STEPS):
+        moved = tau[rows] - np.round(tau[rows].real)
+        # np.hypot rounds as abs(complex) does; np.abs need not
+        radius = np.hypot(moved.real, moved.imag)
+        tau[rows] = moved
+        inside = radius < 1.0
+        if not inside.any():
+            return tau, drift
+        rows, moved = rows[inside], moved[inside]
+        drift[rows] += radius[inside] / moved.imag
+        tau[rows] = _invert_columns(moved)
+    raise ArithmeticError("fundamental-domain reduction did not converge")
+
+
+def _invert_columns(tau: np.ndarray) -> np.ndarray:
+    """-1/tau for each entry, in the steps by which CPython divides -1.0 by
+    a complex (Smith's method); numpy's complex division rounds otherwise.
+    """
+    x, y = tau.real, tau.imag
+    out = np.empty_like(tau)
+    wide = np.abs(x) >= np.abs(y)
+    ratio = y[wide] / x[wide]
+    den = x[wide] + y[wide] * ratio
+    out.real[wide] = -1.0 / den
+    out.imag[wide] = ratio / den
+    tall = ~wide
+    ratio = x[tall] / y[tall]
+    den = x[tall] * ratio + y[tall]
+    out.real[tall] = -ratio / den
+    out.imag[tall] = 1.0 / den
+    return out
+
+
+def _nome_columns(tau: np.ndarray) -> np.ndarray:
+    """_nome of each entry, in the same steps."""
+    radius = np.exp(-2.0 * math.pi * tau.imag)
+    t = 2.0 * tau.real
+    n = np.round(t)
+    f = t - n
+    radius[n % 2 != 0] *= -1.0
+    q = np.empty(tau.shape, dtype=complex)
+    q.real = radius * np.cos(math.pi * f)
+    q.imag = radius * np.sin(math.pi * f)
+    return q
+
+
+def j_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """j_invariant of each entry of a 1-d complex column: the columns of
+    values and of est_error. Rejects the points j_invariant rejects."""
+    tau, drift = reduce_columns(tau)
+    if tau.size:
+        _check_reduced_im(tau.imag.max())
+    e4, delta, value = _j_series(_nome_columns(tau))
+    return value, _error_bound(e4, delta, value, tau.imag, drift)
 
 
 def j_normalized(tau: complex) -> JValue:
@@ -167,6 +267,22 @@ def j_normalized(tau: complex) -> JValue:
 def tau_of_quadruple(q: TauQuadruple) -> complex:
     """Floating-point tau = a/b + i*sqrt(c/d) for a class quadruple."""
     return complex(q.a / q.b, math.sqrt(q.c / q.d))
+
+
+def tau_of_columns(a, b, c, d) -> np.ndarray:
+    """tau_of_quadruple of each row of int64 columns (or ints) a, b, c, d.
+
+    With every entry below 2^53 the int64 quotients convert exactly and
+    round once, so each tau equals the scalar's bit for bit.
+    """
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64)
+                                       for x in (a, b, c, d)))
+    if a.size and max(np.abs(x).max() for x in (a, b, c, d)) >= 2 ** 53:
+        raise ValueError("need entries below 2^53")
+    tau = np.empty(a.shape, dtype=complex)
+    tau.real = a / b
+    tau.imag = np.sqrt(c / d)
+    return tau
 
 
 def boundary_realness_report() -> BoundaryRealnessReport:
@@ -194,10 +310,23 @@ def boundary_realness_report() -> BoundaryRealnessReport:
                                   min_interior_im=min_interior)
 
 
+def _wr_verdict(jn):
+    """True where j/1728 = jn is numerically real with real part in
+    [0, 1]; for a complex or for a complex column."""
+    return ((abs(jn.imag) < WR_TOLERANCE) & (jn.real >= -WR_TOLERANCE)
+            & (jn.real <= 1.0 + WR_TOLERANCE))
+
+
 def classify_by_j(q: TauQuadruple) -> bool:
     """Well-roundedness verdict read off the j-invariant alone.
 
     True iff j(tau)/1728 is numerically real with real part in [0, 1].
     """
-    jn = j_normalized(tau_of_quadruple(q)).value
-    return abs(jn.imag) < 1e-6 and -1e-6 <= jn.real <= 1.0 + 1e-6
+    return _wr_verdict(j_normalized(tau_of_quadruple(q)).value)
+
+
+def classify_by_j_columns(a, b, c, d) -> np.ndarray:
+    """classify_by_j of each row of int64 columns a, b, c, d, as a bool
+    column: the same verdict rule on j_columns."""
+    value, _ = j_columns(tau_of_columns(a, b, c, d))
+    return _wr_verdict(value / 1728.0)

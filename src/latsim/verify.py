@@ -14,7 +14,10 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 constant (b <= 5000)
 - haar:         hyperbolic-volume quadrature against closed forms
 - modular:      j special values, symmetries on 100 random points, boundary
-                realness (100 samples per component), verdicts, height <= 20
+                realness (100 samples per component), and the j verdicts
+                of every class of height <= 20 against classify's, taken
+                as columns: modular.classify_by_j_columns against
+                classes.is_wr_entries
 - geometry:     parametrized classification vs exact geometric predicates,
                 height <= 20
 - reduction_invariance: canonical tau recovered after 1000 random modular
@@ -251,6 +254,19 @@ def _random_upper_points(rng: random.Random) -> list[complex]:
             for _ in range(100)]
 
 
+def _class_columns(T: int) -> tuple[np.ndarray, ...]:
+    """int64 columns a, b, c, d of every class of height <= T, in the order
+    of enumerate_classes: the blocks of census._class_blocks end to end."""
+    blocks = list(census._class_blocks(ClassSetId.ALL, T))
+    sizes = [c.size for _, _, c, _ in blocks]
+    return (np.repeat(np.array([blk[0] for blk in blocks], dtype=np.int64),
+                      sizes),
+            np.repeat(np.array([blk[1] for blk in blocks], dtype=np.int64),
+                      sizes),
+            np.concatenate([blk[2] for blk in blocks]),
+            np.concatenate([blk[3] for blk in blocks]))
+
+
 def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
     checks: list[Check] = []
     rng = random.Random(seed)
@@ -298,13 +314,12 @@ def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
     checks.append(("normalized j strictly monotone along the arc",
                    monotone, "100 samples"))
 
-    ok = True
-    bad = None
-    for q in census.enumerate_classes(ClassSetId.ALL, 20):
-        if modular.classify_by_j(q) != \
-                (classes.classify(q) is classes.ClassKind.WELL_ROUNDED):
-            ok = False
-            bad = q
+    cols = _class_columns(20)
+    wrong = np.flatnonzero(modular.classify_by_j_columns(*cols)
+                           != classes.is_wr_entries(*cols))
+    ok = not wrong.size
+    bad = None if ok else classes.TauQuadruple(*(int(x[wrong[-1]])
+                                                 for x in cols))
     checks.append(("classify_by_j agrees with classify, height <= 20", ok,
                    "exhaustive" if ok else f"mismatch at {bad}"))
     return checks
@@ -316,7 +331,8 @@ def verify_geometry(quadruple_height: int = 20) -> list[Check]:
     ok_kind = ok_tau = True
     bad = None
     for q in census.enumerate_classes(ClassSetId.ALL, quadruple_height):
-        form = lattice.tau_gram(q.tau)
+        tau = q.tau
+        form = lattice.tau_gram(tau)
         wr = lattice.is_well_rounded(form)
         ss = lattice.is_semistable(form)
         kind = classes.classify(q)
@@ -326,7 +342,7 @@ def verify_geometry(quadruple_height: int = 20) -> list[Check]:
         if kind is not geo_kind:
             ok_kind = False
             bad = q
-        if lattice.canonical_tau(form) != q.tau:
+        if lattice.canonical_tau(form) != tau:
             ok_tau = False
             bad = q
     checks.append((f"classify matches geometric predicates, height <= "

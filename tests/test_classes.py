@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from latsim import classes, lattice
+from latsim import census, classes, lattice
+from latsim.census import ClassSetId
 from latsim.classes import (ClassKind, CoprimalityError, DomainError,
                             RangeError, TauQuadruple, WrPair)
 
@@ -61,6 +63,22 @@ class TestClassify:
                 (kind is ClassKind.WELL_ROUNDED)
             assert lattice.is_semistable(form) == \
                 (kind is not ClassKind.NOT_SEMISTABLE)
+
+
+class TestWrEntries:
+    def test_columns_equal_classify(self):
+        qs = list(census.enumerate_classes(ClassSetId.ALL, 20))
+        a, b, c, d = (np.array([getattr(q, k) for q in qs], dtype=np.int64)
+                      for k in "abcd")
+        got = classes.is_wr_entries(a, b, c, d)
+        assert got.dtype == bool
+        assert got.tolist() == [classes.classify(q) is ClassKind.WELL_ROUNDED
+                                for q in qs]
+        assert got.any() and not got.all()
+
+    def test_ints_give_a_bool(self):
+        assert classes.is_wr_entries(1, 2, 3, 4) is True
+        assert classes.is_wr_entries(0, 1, 2, 1) is False
 
 
 class TestHeights:

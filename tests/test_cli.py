@@ -188,7 +188,7 @@ class TestVerify:
     def test_seed_reaches_suite(self, capsys, monkeypatch):
         seen = []
 
-        def fake_reduction_invariance(n_points=1000, max_word=10,
+        def fake_reduction_invariance(n_points=1000,
                                       seed=verify.DEFAULT_SEED):
             seen.append(seed)
             return [("fake", True, "")]

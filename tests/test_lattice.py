@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -285,6 +286,103 @@ class TestModularAction:
             moved = lattice.modular_act(g, tau)
             back = lattice.canonical_tau(lattice.tau_gram(moved))
             assert (back.re, back.im_sq) == (re, im_sq)
+
+
+class TestUnimodularMatrixValues:
+    """Value semantics of UnimodularMatrix, whatever its constructor does."""
+
+    def test_equal_matrices_compare_and_hash_equal(self):
+        rng = random.Random(5)
+        letters = (UnimodularMatrix.inversion(),
+                   UnimodularMatrix.translation(1),
+                   UnimodularMatrix.translation(-1))
+        for _ in range(200):
+            g = UnimodularMatrix.identity()
+            for _ in range(rng.randint(0, 10)):
+                g = rng.choice(letters) @ g
+            same = UnimodularMatrix(g.a, g.b, g.c, g.d)
+            assert g == same and hash(g) == hash(same)
+            assert len({g, same}) == 1
+        assert UnimodularMatrix.inversion() != UnimodularMatrix.identity()
+        # S^2 = -1 is a different matrix from 1, though it acts alike
+        s2 = UnimodularMatrix.inversion() @ UnimodularMatrix.inversion()
+        assert s2 == UnimodularMatrix(-1, 0, 0, -1)
+        assert s2 != UnimodularMatrix.identity()
+
+    def test_not_equal_to_a_plain_tuple(self):
+        one = UnimodularMatrix.identity()
+        assert one != (1, 0, 0, 1)
+        assert not one == (1, 0, 0, 1)
+
+    def test_fields_are_read_only(self):
+        g = UnimodularMatrix.translation(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.b = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.extra = 1
+        assert (g.a, g.b, g.c, g.d) == (1, 3, 0, 1)
+
+    def test_repr(self):
+        assert repr(UnimodularMatrix.inversion()) == \
+            "UnimodularMatrix(a=0, b=-1, c=1, d=0)"
+        assert repr(UnimodularMatrix.translation(-2)) == \
+            "UnimodularMatrix(a=1, b=-2, c=0, d=1)"
+
+    def test_determinant_checked_in_constructor_and_product(self):
+        for entries in ((1, 0, 0, -1), (2, 0, 0, 1), (0, 0, 0, 0),
+                        (1, 1, 1, 1), (-1, 0, 0, 1)):
+            with pytest.raises(ValueError):
+                UnimodularMatrix(*entries)
+        # a matrix whose entries were overwritten behind the frozen
+        # interface: the product's own check refuses the result
+        bad = UnimodularMatrix.identity()
+        object.__setattr__(bad, "d", 2)
+        with pytest.raises(ValueError):
+            bad @ UnimodularMatrix.translation(1)
+        with pytest.raises(ValueError):
+            UnimodularMatrix.translation(1) @ bad
+
+
+class TestFromIntegers:
+    """HalfPlanePoint.from_integers and CanonicalTau.from_integers check what
+    the Fraction constructors check, on integers not in lowest terms."""
+
+    def test_equals_the_fraction_constructor(self):
+        for cls in (HalfPlanePoint, CanonicalTau):
+            for p in range(-3, 9):
+                for q in range(1, 9):
+                    for r in range(-2, 12):
+                        for s in (1, 2, 4, 6):
+                            try:
+                                want = cls(Fraction(p, q), Fraction(r, s))
+                            except ValueError:
+                                with pytest.raises(ValueError):
+                                    cls.from_integers(p, q, r, s)
+                                continue
+                            got = cls.from_integers(p, q, r, s)
+                            assert type(got) is cls and got == want
+
+    def test_refuses_denominators_below_one(self):
+        for cls in (HalfPlanePoint, CanonicalTau):
+            for p, q, r, s in ((0, 0, 1, 1), (0, 1, 1, 0), (1, -2, 1, 1),
+                               (0, 1, -1, -1)):
+                with pytest.raises(ValueError):
+                    cls.from_integers(p, q, r, s)
+
+    def test_canonical_tau_is_a_canonical_point(self):
+        tau = lattice.canonical_tau(GramForm(4, 2, 7))
+        assert type(tau) is CanonicalTau
+        assert (tau.re, tau.im_sq) == (Fraction(1, 2), Fraction(3, 2))
+
+    def test_reduced_form_of_a_reduction_is_checked(self):
+        r = GramForm(Fraction(7, 3), Fraction(-11, 5), 9)._reduction
+        form = GramForm._of_reduction(r)
+        assert form._reduction == r._replace(u=(1, 0, 0, 1))
+        for bad in (r._replace(b=-r.b), r._replace(a=r.c + 1),
+                    r._replace(a=2 * r.a, b=2 * r.b, c=2 * r.c),
+                    r._replace(num=0), r._replace(den=0)):
+            with pytest.raises(ValueError):
+                GramForm._of_reduction(bad)
 
 
 class TestIntegerCore:

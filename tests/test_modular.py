@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from latsim import census, classes, modular, verify
@@ -241,3 +242,126 @@ class TestClassifyByJ:
         for q in census.enumerate_classes(ClassSetId.ALL, 10):
             assert modular.classify_by_j(q) == \
                 (classes.classify(q) is classes.ClassKind.WELL_ROUNDED)
+
+
+def class_columns(height: int):
+    """The classes of height <= height and NEAR_ARC, as a list and as int64
+    columns a, b, c, d."""
+    qs = list(census.enumerate_classes(ClassSetId.ALL, height)) + \
+        list(NEAR_ARC)
+    return qs, tuple(np.array([getattr(q, k) for q in qs], dtype=np.int64)
+                     for k in "abcd")
+
+
+def reduction_points() -> list[complex]:
+    """Points that need translations and inversions to reach the domain."""
+    rng = random.Random(61)
+    points = [complex(rng.uniform(-40, 40), rng.uniform(1e-3, 3.0))
+              for _ in range(2000)]
+    points += [complex(rng.randint(-9, 9) / 8, rng.randint(1, 16) / 8)
+               for _ in range(500)]
+    return points + inversion_points(verify.DEFAULT_SEED) + \
+        verify_modular_points()
+
+
+class TestColumns:
+    """The column path against the scalar j, mpmath and classify."""
+
+    def test_class_columns_follow_enumerate_classes(self):
+        qs, _ = class_columns(20)
+        cols = verify._class_columns(20)
+        assert all(x.dtype == np.int64 for x in cols)
+        assert list(zip(*(x.tolist() for x in cols))) == \
+            [(q.a, q.b, q.c, q.d) for q in qs[:-len(NEAR_ARC)]]
+
+    def test_tau_of_columns_equals_scalar_bit_for_bit(self):
+        qs, cols = class_columns(30)
+        taus = modular.tau_of_columns(*cols)
+        assert taus.tolist() == [modular.tau_of_quadruple(q) for q in qs]
+        with pytest.raises(ValueError):
+            modular.tau_of_columns(1, 2 ** 53, 1, 1)
+
+    def test_reduce_columns_equals_scalar_bit_for_bit(self):
+        points = reduction_points()
+        taus, drifts = modular.reduce_columns(np.array(points))
+        want = [modular.reduce_to_fundamental_domain(p) for p in points]
+        assert taus.tolist() == [t for t, _ in want]
+        assert drifts.tolist() == [d for _, d in want]
+        assert (drifts > 0).sum() > 500
+
+    def test_columns_refuse_what_the_scalar_refuses(self):
+        for bad in ([0.5 - 1j], [1j, 0.5 + 0j], [0.1 + 150j, 1j]):
+            with pytest.raises(ValueError):
+                modular.j_columns(np.array(bad))
+        with pytest.raises(ValueError):
+            modular.j_columns(np.array([[1j, 2j]]))
+        value, error = modular.j_columns(np.array([], dtype=complex))
+        assert value.size == error.size == 0
+
+    def test_bound_covers_mpmath_and_is_tight_at_height_20(self):
+        mpmath = pytest.importorskip("mpmath")
+        qs, cols = class_columns(20)
+        taus = modular.tau_of_columns(*cols)
+        value, error = modular.j_columns(taus)
+        with mpmath.workdps(40):
+            for tau, v, e in zip(taus.tolist(), value.tolist(),
+                                 error.tolist()):
+                want = 1728 * mpmath.kleinj(mpmath.mpc(tau.real, tau.imag))
+                assert abs(mpmath.mpc(v) - want) <= e, tau
+                assert e <= 1e-11 * max(1.0, abs(v)), tau
+
+    def test_verdicts_and_values_equal_scalar_at_height_30(self):
+        qs, cols = class_columns(30)
+        value, error = modular.j_columns(modular.tau_of_columns(*cols))
+        verdicts = modular.classify_by_j_columns(*cols)
+        assert verdicts.dtype == bool
+        for q, v, e, by_j in zip(qs, value.tolist(), error.tolist(),
+                                 verdicts.tolist()):
+            jv = modular.j_invariant(modular.tau_of_quadruple(q))
+            assert by_j == modular.classify_by_j(q), q
+            assert abs(v - jv.value) <= e + jv.est_error, q
+        # the known defect shows on both paths: both call NEAR_ARC WR
+        assert verdicts[-len(NEAR_ARC):].all()
+
+    def test_numpy_elementary_functions_within_one_ulp(self):
+        # the figure the column bound assumes of np.exp, np.cos, np.sin, at
+        # the arguments _nome_columns gives them
+        mpmath = pytest.importorskip("mpmath")
+        _, cols = class_columns(20)
+        taus, _ = modular.reduce_columns(modular.tau_of_columns(*cols))
+        x = -2.0 * math.pi * taus.imag
+        t = 2.0 * taus.real
+        y = math.pi * (t - np.round(t))
+        with mpmath.workdps(40):
+            for fn, mp_fn, args in ((np.exp, mpmath.exp, x),
+                                    (np.cos, mpmath.cos, y),
+                                    (np.sin, mpmath.sin, y)):
+                got = fn(args)
+                want = np.array([float(mp_fn(mpmath.mpf(a)) - g)
+                                 for a, g in zip(args.tolist(),
+                                                 got.tolist())])
+                assert (np.abs(want) <= np.spacing(np.abs(got))).all(), fn
+
+
+class TestVerifySweep:
+    def test_check_passes_and_names_a_mismatch(self, monkeypatch):
+        name = "classify_by_j agrees with classify, height <= 20"
+        checks = dict((n, (ok, detail)) for n, ok, detail in
+                      verify.verify_modular())
+        assert checks[name] == (True, "exhaustive")
+
+        real = modular.classify_by_j_columns
+
+        def flip_last_wr(a, b, c, d):
+            verdicts = real(a, b, c, d)
+            verdicts[np.flatnonzero(verdicts)[-1]] = False
+            return verdicts
+
+        monkeypatch.setattr(modular, "classify_by_j_columns", flip_last_wr)
+        qs, _ = class_columns(20)
+        wr = classes.ClassKind.WELL_ROUNDED
+        last_wr = [q for q in qs[:-len(NEAR_ARC)]
+                   if classes.classify(q) is wr][-1]
+        checks = dict((n, (ok, detail)) for n, ok, detail in
+                      verify.verify_modular())
+        assert checks[name] == (False, f"mismatch at {last_wr}")
