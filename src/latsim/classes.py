@@ -84,13 +84,20 @@ def is_wr_entries(a, b, c, d):
     return (d == bsq) & (c == bsq - a * a)
 
 
+# the kinds in the order of kind_entries' indices
+KINDS = tuple(ClassKind)
+
+
+def kind_entries(a, b, c, d):
+    """The kind of (a, b, c, d) as an index into KINDS: well-rounded when
+    is_wr_entries, else semi-stable when c <= d. Takes ints, or int64
+    columns for an int64 column."""
+    return (1 - is_wr_entries(a, b, c, d)) * (1 + (c > d))
+
+
 def classify(q: TauQuadruple) -> ClassKind:
     """Partition a valid quadruple into WR / semi-stable-not-WR / not semi-stable."""
-    if is_wr_entries(q.a, q.b, q.c, q.d):
-        return ClassKind.WELL_ROUNDED
-    if q.c <= q.d:
-        return ClassKind.SEMISTABLE_NOT_WR
-    return ClassKind.NOT_SEMISTABLE
+    return KINDS[kind_entries(q.a, q.b, q.c, q.d)]
 
 
 def max_height(q: TauQuadruple) -> int:

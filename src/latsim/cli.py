@@ -2,7 +2,8 @@
 
 Subcommands: count, enumerate, reduce, classify, j, height, verify.
 Exact fractions print as "p/q"; reals print with 12 significant digits, j
-and its error bound with 17, so the text parses back to the doubles.
+and its error bound and the Weil-height bound and its ceiling with 17, so
+the text parses back to the doubles.
 Exit codes: 0 ok, 1 failed verification, 2 usage error (argparse default) or
 out of memory (MemoryError).
 """
@@ -151,8 +152,9 @@ def _cmd_j(args) -> int:
 
 def _cmd_height(args) -> int:
     q = args.tau
-    print(f"weil_height_bound={_real(classes.weil_height_bound(q))} "
-          f"ceiling={_real(classes.weil_height_ceiling(q))}")
+    # every digit, so the text parses back to the doubles
+    print(f"weil_height_bound={classes.weil_height_bound(q):.17g} "
+          f"ceiling={classes.weil_height_ceiling(q):.17g}")
     return 0
 
 

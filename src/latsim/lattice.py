@@ -11,6 +11,13 @@ them: tau_gram hands its integer form to the form's check and reduction, and
 canonical_tau, modular_act and TauQuadruple.tau build points with
 HalfPlanePoint.from_integers. Nothing takes a square root: everything is
 decided on squared quantities.
+
+class_form_columns is the column entry: for int64 class columns (a, b, c, d)
+it returns tau_gram's primitive integer form at tau = a/b + i sqrt(c/d) and
+whether each row is reduced, with no reduction loop. A reduced row is the
+form's Lagrange reduction, so the scalar and column paths read the
+predicates (is_wr_reduced, is_semistable_reduced) and the canonical tau
+(canonical_tau_entries) off it with the same helpers.
 """
 
 from __future__ import annotations
@@ -20,12 +27,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+import numpy as np
+
 Vec = tuple[Fraction, Fraction]
 
 # the frozen classes below set their fields through this in their
 # constructors
 _setattr = object.__setattr__
 _ONE = Fraction(1)
+
+# Largest entry of the columns that class_form_columns takes. With every
+# entry in [0, T], each form entry is at most 2T^3, A^2 and AC - B^2 are at
+# most 2T^6 in size, and each of those times one more entry (the canonical
+# tau's cross-multiplication against a/b and c/d) at most 2T^7 < 2^63.
+MAX_COLUMN_HEIGHT = 463
 
 
 def _frac(x) -> Fraction:
@@ -296,14 +311,20 @@ def _as_gram(obj: GramLike) -> GramForm:
     return obj
 
 
+def canonical_tau_entries(a, b, c):
+    """(p, q, r, s) with re = p/q and im_sq = r/s, the canonical tau of the
+    reduced form (a, b, c). Takes ints, or int64 columns."""
+    return b, a, a * c - b * b, a * a
+
+
 def canonical_tau(obj: GramLike) -> CanonicalTau:
     """Fundamental-domain representative of the similarity class.
 
     With a minimal basis (x, y): re = |<x,y>| / |x|^2 and
     im_sq = (|x|^2 |y|^2 - <x,y>^2) / |x|^4, both exact rationals.
     """
-    a, b, c = _as_gram(obj)._reduction[:3]
-    return CanonicalTau.from_integers(b, a, a * c - b * b, a * a)
+    return CanonicalTau.from_integers(
+        *canonical_tau_entries(*_as_gram(obj)._reduction[:3]))
 
 
 def tau_gram(point: HalfPlanePoint) -> GramForm:
@@ -321,24 +342,57 @@ def tau_gram(point: HalfPlanePoint) -> GramForm:
     return form
 
 
+def class_form_columns(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                       d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The primitive integer form (A, B, C) of tau_gram at tau = a/b +
+    i sqrt(c/d), for int64 columns, and a bool column: 0 <= 2B <= A <= C.
+
+    The form is tau_gram's (q^2 s, pqs, p^2 s + r q^2) with p/q = a/b and
+    r/s = c/d, divided by its gcd. On a reduced form _lagrange stops at its
+    first step with u = 1, so a reduced row is the form's _reduction[:3]:
+    no row is reduced here. Raises unless every entry lies in
+    [0, MAX_COLUMN_HEIGHT].
+    """
+    for col in (a, b, c, d):
+        if col.size and not 0 <= col.min() <= col.max() <= MAX_COLUMN_HEIGHT:
+            raise ValueError(f"column entries must lie in "
+                             f"[0, {MAX_COLUMN_HEIGHT}] (int64 range)")
+    bd = b * d
+    form = np.stack((b * bd, a * bd, a * a * d + b * b * c))
+    form //= np.gcd.reduce(form)
+    big_a, big_b, big_c = form
+    return (big_a, big_b, big_c,
+            (0 <= big_b) & (2 * big_b <= big_a) & (big_a <= big_c))
+
+
 def successive_minima_sq(obj: GramLike) -> tuple[Fraction, Fraction]:
     """Exact (lambda1^2, lambda2^2)."""
     r = _as_gram(obj)._reduction
     return Fraction(r.a * r.num, r.den), Fraction(r.c * r.num, r.den)
 
 
+def is_wr_reduced(a, b, c):
+    """The well-rounded rule on a reduced form (a, b, c): a = c. Takes ints,
+    or int64 columns for a bool column."""
+    return a == c
+
+
+def is_semistable_reduced(a, b, c):
+    """The semi-stable rule on a reduced form (a, b, c): a^2 >= ac - b^2.
+    Takes ints, or int64 columns for a bool column."""
+    return a * a >= a * c - b * b
+
+
 def is_well_rounded(obj: GramLike) -> bool:
     """lambda1 = lambda2, decided on the reduced integer form."""
-    r = _as_gram(obj)._reduction
-    return r.a == r.c
+    return is_wr_reduced(*_as_gram(obj)._reduction[:3])
 
 
 def is_semistable(obj: GramLike) -> bool:
     """lambda1 >= det^(1/2), i.e. lambda1^4 >= det(Gram): A^2 >= AC - B^2
     on the reduced integer form, which has the same determinant up to the
     square of the scale."""
-    a, b, c = _as_gram(obj)._reduction[:3]
-    return a * a >= a * c - b * b
+    return is_semistable_reduced(*_as_gram(obj)._reduction[:3])
 
 
 def is_stable(obj: GramLike) -> bool:

@@ -19,7 +19,10 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 as columns: modular.classify_by_j_columns against
                 classes.is_wr_entries
 - geometry:     parametrized classification vs exact geometric predicates,
-                height <= 20
+                height <= 20, over int64 columns (a, b, c, d): the kind from
+                the WR and semi-stable rules on lattice.class_form_columns'
+                primitive form against classes.kind_entries, and its
+                canonical tau against (a/b, c/d) by cross-multiplication
 - reduction_invariance: canonical tau recovered after 1000 random modular
                 words of length <= 10
 - heights:      Weil-height bounds against their ceilings, height <= 50, and
@@ -267,6 +270,16 @@ def _class_columns(T: int) -> tuple[np.ndarray, ...]:
             np.concatenate([blk[3] for blk in blocks]))
 
 
+def _mismatch_detail(cols: tuple[np.ndarray, ...], ok: np.ndarray) -> str:
+    """"exhaustive" when every row of the bool column ok holds, else the
+    class (a, b, c, d) of the last row that fails."""
+    wrong = np.flatnonzero(~ok)
+    if not wrong.size:
+        return "exhaustive"
+    bad = classes.TauQuadruple(*(int(x[wrong[-1]]) for x in cols))
+    return f"mismatch at {bad}"
+
+
 def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
     checks: list[Check] = []
     rng = random.Random(seed)
@@ -315,43 +328,43 @@ def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
                    monotone, "100 samples"))
 
     cols = _class_columns(20)
-    wrong = np.flatnonzero(modular.classify_by_j_columns(*cols)
-                           != classes.is_wr_entries(*cols))
-    ok = not wrong.size
-    bad = None if ok else classes.TauQuadruple(*(int(x[wrong[-1]])
-                                                 for x in cols))
-    checks.append(("classify_by_j agrees with classify, height <= 20", ok,
-                   "exhaustive" if ok else f"mismatch at {bad}"))
+    agree = (modular.classify_by_j_columns(*cols)
+             == classes.is_wr_entries(*cols))
+    checks.append(("classify_by_j agrees with classify, height <= 20",
+                   bool(agree.all()), _mismatch_detail(cols, agree)))
     return checks
+
+
+def _geometry_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                   d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two bool columns over the classes (a, b, c, d): whether the kind from
+    the lattice predicates on the primitive form of Lambda_tau equals
+    classes.kind_entries, and whether that form is reduced with canonical
+    tau (a/b, c/d)."""
+    big_a, big_b, big_c, reduced = lattice.class_form_columns(a, b, c, d)
+    # indices into classes.KINDS
+    geo_kind = np.where(lattice.is_wr_reduced(big_a, big_b, big_c), 0,
+                        np.where(lattice.is_semistable_reduced(
+                            big_a, big_b, big_c), 1, 2))
+    p, q, r, s = lattice.canonical_tau_entries(big_a, big_b, big_c)
+    return (classes.kind_entries(a, b, c, d) == geo_kind,
+            reduced & (p * b == a * q) & (r * d == c * s))
 
 
 def verify_geometry(quadruple_height: int = 20) -> list[Check]:
-    """Parametrized classification vs exact geometric predicates."""
-    checks: list[Check] = []
-    ok_kind = ok_tau = True
-    bad = None
-    for q in census.enumerate_classes(ClassSetId.ALL, quadruple_height):
-        tau = q.tau
-        form = lattice.tau_gram(tau)
-        wr = lattice.is_well_rounded(form)
-        ss = lattice.is_semistable(form)
-        kind = classes.classify(q)
-        geo_kind = (classes.ClassKind.WELL_ROUNDED if wr
-                    else classes.ClassKind.SEMISTABLE_NOT_WR if ss
-                    else classes.ClassKind.NOT_SEMISTABLE)
-        if kind is not geo_kind:
-            ok_kind = False
-            bad = q
-        if lattice.canonical_tau(form) != tau:
-            ok_tau = False
-            bad = q
-    checks.append((f"classify matches geometric predicates, height <= "
-                   f"{quadruple_height}", ok_kind,
-                   "exhaustive" if ok_kind else f"mismatch at {bad}"))
-    checks.append((f"canonical_tau(Lambda_tau(q)) = (a/b, c/d), height <= "
-                   f"{quadruple_height}", ok_tau,
-                   "exhaustive" if ok_tau else f"mismatch at {bad}"))
-    return checks
+    """Parametrized classification vs exact geometric predicates, on the
+    int64 columns of every class of height <= quadruple_height."""
+    if quadruple_height > lattice.MAX_COLUMN_HEIGHT:
+        raise ValueError(f"geometry columns capped at height "
+                         f"{lattice.MAX_COLUMN_HEIGHT} (int64 range)")
+    cols = _class_columns(quadruple_height)
+    kind_ok, tau_ok = _geometry_rows(*cols)
+    return [(f"classify matches geometric predicates, height <= "
+             f"{quadruple_height}", bool(kind_ok.all()),
+             _mismatch_detail(cols, kind_ok)),
+            (f"canonical_tau(Lambda_tau(q)) = (a/b, c/d), height <= "
+             f"{quadruple_height}", bool(tau_ok.all()),
+             _mismatch_detail(cols, tau_ok))]
 
 
 def verify_reduction_invariance(n_points: int = 1000,
@@ -414,12 +427,13 @@ def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check
     checks.append((f"weil_height_bound <= (sqrt5/2) m^(3/2), height <= "
                    f"{quadruple_height}", ok,
                    "exhaustive" if ok else f"violated at {bad}"))
-    ok = all(classes.weil_height_bound(classes.wr_pair_to_quadruple(p))
-             == classes.wr_weil_height_bound(p) ** 2
-             for p in census.enumerate_classes(ClassSetId.WELL_ROUNDED, wr_bmax))
+    bad = next((p for p in census.enumerate_classes(ClassSetId.WELL_ROUNDED,
+                                                   wr_bmax)
+                if classes.weil_height_bound(classes.wr_pair_to_quadruple(p))
+                != classes.wr_weil_height_bound(p) ** 2), None)
     checks.append((f"weil_height_bound of the WR quadruple = (WR height "
-                   f"bound)^2 for all pairs with b <= {wr_bmax}",
-                   ok, "exhaustive"))
+                   f"bound)^2 for all pairs with b <= {wr_bmax}", bad is None,
+                   "exhaustive" if bad is None else f"mismatch at {bad}"))
     return checks
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latsim import arith, census, classes, modular, verify
+from latsim import arith, census, classes, lattice, modular, verify
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -257,6 +257,69 @@ def test_criterion_7_geometry_consistency():
                   "height <= 20", verify.verify_geometry(quadruple_height=20))
 
 
+def geometry_details_per_object(quadruple_height):
+    """The two geometry checks as a loop over TauQuadruple objects and their
+    exact lattices, each naming the last class that fails it: the oracle of
+    verify_geometry's column checks."""
+    kinds = classes.ClassKind
+    bad_kind = bad_tau = None
+    for q in census.enumerate_classes(census.ClassSetId.ALL, quadruple_height):
+        tau = q.tau
+        form = lattice.tau_gram(tau)
+        geo_kind = (kinds.WELL_ROUNDED if lattice.is_well_rounded(form)
+                    else kinds.SEMISTABLE_NOT_WR if lattice.is_semistable(form)
+                    else kinds.NOT_SEMISTABLE)
+        if classes.classify(q) is not geo_kind:
+            bad_kind = q
+        if lattice.canonical_tau(form) != tau:
+            bad_tau = q
+    return ["exhaustive" if bad is None else f"mismatch at {bad}"
+            for bad in (bad_kind, bad_tau)]
+
+
+def test_geometry_columns_equal_the_per_object_loop():
+    checks = verify.verify_geometry(quadruple_height=20)
+    assert [detail for _, _, detail in checks] == \
+        geometry_details_per_object(20) == ["exhaustive", "exhaustive"]
+    assert all(passed for _, passed, _ in checks)
+
+
+def test_geometry_kind_violation_names_its_own_class(monkeypatch):
+    # the stable rule in place of the semi-stable one turns every class with
+    # c = d = 1 but (0, 1, 1, 1) into a mismatch of the kind check only; both
+    # paths must report the last of them in stream order
+    monkeypatch.setattr(lattice, "is_semistable_reduced",
+                        lambda a, b, c: a * a > a * c - b * b)
+    (_, kind_ok, kind_detail), (_, tau_ok, tau_detail) = \
+        verify.verify_geometry(quadruple_height=12)
+    assert not kind_ok and tau_ok
+    assert [kind_detail, tau_detail] == geometry_details_per_object(12)
+    assert kind_detail.startswith("mismatch at TauQuadruple(a=")
+    assert kind_detail.endswith("c=1, d=1)")
+    assert tau_detail == "exhaustive"
+    assert "np." not in kind_detail
+
+
+def test_geometry_tau_check_fails_on_a_non_reduced_row():
+    # (0, 1, 1, 2) lies below the unit circle: its form (2, 0, 1) has
+    # A > C, though B/A = a/b and (AC - B^2)/A^2 = c/d still hold
+    a, b, c, d = (np.array(x, dtype=np.int64)
+                  for x in ([1, 0, 0], [2, 1, 1], [3, 1, 2], [4, 2, 1]))
+    kind_ok, tau_ok = verify._geometry_rows(a, b, c, d)
+    assert kind_ok.tolist() == [True, True, True]
+    assert tau_ok.tolist() == [True, False, True]
+
+
+def test_geometry_height_beyond_int64_range_builds_no_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(verify, "_class_columns", no_table)
+    monkeypatch.setattr(census, "_class_blocks", no_table)
+    with pytest.raises(ValueError, match="int64"):
+        verify.verify_geometry(quadruple_height=lattice.MAX_COLUMN_HEIGHT + 1)
+
+
 def test_criterion_8_reduction_invariance():
     assert_checks("8. canonical_tau(Lambda_g(tau)) = tau, 1000 random words",
                   verify.verify_reduction_invariance(n_points=1000))
@@ -329,6 +392,7 @@ def test_wr_height_check_fails_on_a_wrong_bound(monkeypatch):
     monkeypatch.setattr(classes, "wr_weil_height_bound", lambda p: p.b + 1)
     checks = verify.verify_heights(quadruple_height=5, wr_bmax=20)
     assert [passed for _, passed, _ in checks] == [True, False]
+    assert checks[1][2] == "mismatch at WrPair(a=0, b=1)"
 
 
 def load_bench_workloads(monkeypatch):

@@ -75,6 +75,10 @@ class TestWrEntries:
         assert got.tolist() == [classes.classify(q) is ClassKind.WELL_ROUNDED
                                 for q in qs]
         assert got.any() and not got.all()
+        kinds = classes.kind_entries(a, b, c, d)
+        assert kinds.dtype == np.int64
+        assert [classes.KINDS[k] for k in kinds.tolist()] == \
+            [classes.classify(q) for q in qs]
 
     def test_ints_give_a_bool(self):
         assert classes.is_wr_entries(1, 2, 3, 4) is True

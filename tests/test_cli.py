@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latsim import census, lattice, modular, verify
+from latsim import census, classes, lattice, modular, verify
 from latsim.classes import TauQuadruple
 from latsim.cli import main
 
@@ -161,7 +161,18 @@ class TestJAndHeight:
         code, out, _ = run(capsys, "height", "--tau", "1,2,3,4")
         assert code == 0
         assert "weil_height_bound=4" in out
-        assert "ceiling=8.94427191" in out
+        assert "ceiling=8.9442719099991592" in out
+
+    @pytest.mark.parametrize("tau", ["0,1,2,1", "1,2,3,4", "3,7,41,40"])
+    def test_height_parses_back_to_the_doubles(self, capsys, tau):
+        # 12 digits printed 1.41421356237 for the bound 1.4142135623730951
+        q = TauQuadruple(*(int(x) for x in tau.split(",")))
+        code, out, _ = run(capsys, "height", "--tau", tau)
+        assert code == 0
+        fields = dict(f.split("=") for f in out.split())
+        assert float(fields["weil_height_bound"]) == \
+            classes.weil_height_bound(q)
+        assert float(fields["ceiling"]) == classes.weil_height_ceiling(q)
 
 
 class TestVerify:

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
-from latsim import lattice
+from latsim import census, lattice, verify
 from latsim.lattice import (CanonicalTau, GramForm, HalfPlanePoint,
                             PlanarLattice, UnimodularMatrix)
 
@@ -512,3 +513,49 @@ class TestIntegerCore:
             form = lattice.tau_gram(out)
             assert (form.g11, form.g12, form.g22) == (
                 1, out.re, out.re * out.re + out.im_sq)
+
+
+class TestClassFormColumns:
+    def test_columns_equal_the_scalar_reduction_at_height_20(self):
+        cols = verify._class_columns(20)
+        big_a, big_b, big_c, reduced = lattice.class_form_columns(*cols)
+        assert big_a.dtype == big_b.dtype == big_c.dtype == np.int64
+        assert reduced.dtype == bool and reduced.all()
+        wr = lattice.is_wr_reduced(big_a, big_b, big_c)
+        ss = lattice.is_semistable_reduced(big_a, big_b, big_c)
+        p, q, r, s = lattice.canonical_tau_entries(big_a, big_b, big_c)
+        qs = list(census.enumerate_classes(census.ClassSetId.ALL, 20))
+        assert len(qs) == big_a.size == 8894
+        for i, cls in enumerate(qs):
+            form = lattice.tau_gram(cls.tau)
+            assert (int(big_a[i]), int(big_b[i]), int(big_c[i])) == \
+                form._reduction[:3], cls
+            assert bool(wr[i]) is lattice.is_well_rounded(form), cls
+            assert bool(ss[i]) is lattice.is_semistable(form), cls
+            tau = lattice.canonical_tau(form)
+            assert (Fraction(int(p[i]), int(q[i])),
+                    Fraction(int(r[i]), int(s[i]))) == (tau.re, tau.im_sq)
+        assert wr.any() and not wr.all() and (ss & ~wr).any() and not ss.all()
+
+    def test_reduced_column_is_the_domain_condition(self):
+        # (0, 1, 1, 2) lies below the unit circle and (2, 3, 1, 1) has
+        # 2a > b: neither form is reduced
+        a, b, c, d = (np.array(x, dtype=np.int64)
+                      for x in ([1, 0, 2], [2, 1, 3], [3, 1, 1], [4, 2, 1]))
+        big_a, big_b, big_c, reduced = lattice.class_form_columns(a, b, c, d)
+        assert reduced.tolist() == [True, False, False]
+        assert (big_a.tolist(), big_b.tolist(), big_c.tolist()) == \
+            ([2, 2, 9], [1, 0, 6], [2, 1, 13])
+
+    def test_entries_beyond_the_int64_bound_raise(self):
+        m = lattice.MAX_COLUMN_HEIGHT
+        # the widest product, (AC - B^2) d, is at most 2 m^7
+        assert 2 * m ** 7 < 2 ** 63 <= 2 * (m + 1) ** 7
+        one = np.ones(1, dtype=np.int64)
+        lattice.class_form_columns(0 * one, m * one, m * one, m * one)
+        for bad in (m + 1, -1):
+            for k in range(4):
+                cols = [one] * 4
+                cols[k] = bad * one
+                with pytest.raises(ValueError, match="int64"):
+                    lattice.class_form_columns(*cols)
