@@ -9,7 +9,7 @@ from .census import (ClassSetId, CountReport, census_report, count_bruteforce,
 from .classes import (ClassKind, CoprimalityError, DomainError,
                       QuadrupleError, RangeError, TauQuadruple, WrPair,
                       classify, max_height, weil_height_bound,
-                      wr_pair_to_quadruple, wr_weil_height_bound)
+                      wr_pair_to_quadruple)
 from .lattice import (CanonicalTau, GramForm, HalfPlanePoint, PlanarLattice,
                       UnimodularMatrix, canonical_tau, gauss_reduce, gram,
                       is_semistable, is_stable, is_well_rounded, modular_act,

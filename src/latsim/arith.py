@@ -8,7 +8,7 @@ Provides:
 - Coprime counting on closed integer ranges via Mobius inclusion-exclusion
   over the signed squarefree divisors of n: one range at a time, or a batch
   of ranges per n in int64 arrays with the divisors read off the sieve
-- Power sums of residues coprime to b restricted to [1, b/2]
+- Power sums S2(b) of the squares of the residues coprime to b in [1, b/2]
 """
 
 from __future__ import annotations
@@ -218,15 +218,16 @@ def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
         e, mu = np.hstack([e, e_p]), np.hstack([mu, mu_p])
 
 
-def power_sum_tables(bmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Restricted power sums S_j(b) for j = 0, 1, 2 and b = 2..bmax.
+def power_sum_tables(bmax: int) -> np.ndarray:
+    """Restricted power sums S2(b) = sum of a^2 over 1 <= a <= b/2 with
+    gcd(a, b) = 1, for b = 2..bmax.
 
     Mobius inversion over e = gcd(a, b) gives
-    S_j(b) = sum over e | b of mu(e) e^j F_j(floor(b / 2e)), with F_j(m) the
-    sum of t^j over 1 <= t <= m; each squarefree e adds to all its multiples
-    b = k e in one slice, F_j taken at floor(k / 2): O(bmax log bmax).
-    Returns three int64 arrays indexed by b (indices 0, 1 unused). Every
-    partial sum is below (bmax^3 / 24)(1 + ln bmax) < 2^63 for the allowed
+    S2(b) = sum over e | b of mu(e) e^2 F(floor(b / 2e)), with F(m) the sum
+    of t^2 over 1 <= t <= m; each squarefree e adds to all its multiples
+    b = k e in one slice, F taken at floor(k / 2): O(bmax log bmax).
+    Returns an int64 array indexed by b (indices 0, 1 unused). Every partial
+    sum is below (bmax^3 / 24)(1 + ln bmax) < 2^63 for the allowed
     bmax <= 10^6.
     """
     if bmax < 2:
@@ -236,11 +237,9 @@ def power_sum_tables(bmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                          f"{MAX_POWER_SUM_B}")
     mu = build_sieve(bmax).mu.tolist()
     m = np.arange(bmax + 1, dtype=np.int64) // 2
-    f = (m, m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6)
-    sums = tuple(np.zeros(bmax + 1, dtype=np.int64) for _ in range(3))
+    f = m * (m + 1) * (2 * m + 1) // 6
+    s2 = np.zeros(bmax + 1, dtype=np.int64)
     for e in range(1, bmax // 2 + 1):
         if mu[e]:
-            k = bmax // e + 1
-            for j, (s, fj) in enumerate(zip(sums, f)):
-                s[e::e] += mu[e] * e ** j * fj[1:k]
-    return sums
+            s2[e::e] += mu[e] * e * e * f[1:bmax // e + 1]
+    return s2

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
+from . import lattice
 from .lattice import CanonicalTau
 
 
@@ -116,20 +117,17 @@ def wr_pair_to_quadruple(p: WrPair) -> TauQuadruple:
 
 
 def weil_height_bound(q: TauQuadruple) -> float:
-    """Archimedean upper bound max{b*sqrt(d), sqrt(a^2*d + b^2*c)} on the
-    Weil height of the class; finite places only tighten it."""
-    return max(q.b * math.sqrt(q.d),
-               math.sqrt(q.a * q.a * q.d + q.b * q.b * q.c))
+    """Archimedean Weil-height bound max{b sqrt(d), sqrt(C')}, with
+    C' = a^2 d + b^2 c the last entry of lattice.tau_gram_entries. It is
+    sqrt(C'): in the fundamental domain c b^2 >= d (b^2 - a^2), so
+    C' >= b^2 d."""
+    return math.sqrt(lattice.tau_gram_entries(q.a, q.b, q.c, q.d)[2])
 
 
 def weil_height_ceiling(q: TauQuadruple) -> float:
-    """(sqrt(5)/2) * m^(3/2), the closed-form cap on weil_height_bound."""
+    """(sqrt(5)/2) * m^(3/2), the closed-form cap on weil_height_bound;
+    exactly, 4 C' <= 5 m^3, as a <= b/2 <= m/2 and b, c, d <= m."""
     return math.sqrt(5) / 2 * max_height(q) ** 1.5
-
-
-def wr_weil_height_bound(p: WrPair) -> int:
-    """Archimedean Weil-height bound for a well-rounded class: exactly b."""
-    return p.b
 
 
 def pair_height(p: WrPair) -> int:

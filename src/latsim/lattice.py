@@ -10,7 +10,9 @@ Code that already holds the integers passes them on, and the checks run on
 them: tau_gram hands its integer form to the form's check and reduction, and
 canonical_tau, modular_act and TauQuadruple.tau build points with
 HalfPlanePoint.from_integers. Nothing takes a square root: everything is
-decided on squared quantities.
+decided on squared quantities. tau_gram's integer form is written out once,
+in tau_gram_entries; class_form_columns, the CanonicalTau check and classes'
+height bound call it too.
 
 class_form_columns is the column entry: for int64 class columns (a, b, c, d)
 it returns tau_gram's primitive integer form at tau = a/b + i sqrt(c/d) and
@@ -226,7 +228,8 @@ class CanonicalTau(HalfPlanePoint):
         if not (0 <= p and 2 * p <= q):
             raise ValueError("re outside [0, 1/2]")
         # re^2 + im_sq >= 1 times q^2 s
-        if p * p * s + r * q * q < q * q * s:
+        big_a, _, big_c = tau_gram_entries(p, q, r, s)
+        if big_c < big_a:
             raise ValueError("|tau| < 1: outside the fundamental domain")
 
 
@@ -327,18 +330,22 @@ def canonical_tau(obj: GramLike) -> CanonicalTau:
         *canonical_tau_entries(*_as_gram(obj)._reduction[:3]))
 
 
-def tau_gram(point: HalfPlanePoint) -> GramForm:
-    """Gram form of the lattice spanned by (1, 0) and (re, im).
+def tau_gram_entries(p, q, r, s):
+    """(q^2 s, pqs, p^2 s + r q^2): the Gram form of the lattice spanned by
+    (1, 0) and (re, im), with re = p/q and im_sq = r/s, times q^2 s. Takes
+    ints, or int64 columns."""
+    qs = q * s
+    return q * qs, p * qs, p * p * s + r * q * q
 
-    With re = p/q and im_sq = r/s it is (q^2 s, p q s, p^2 s + r q^2)
-    over q^2 s.
-    """
+
+def tau_gram(point: HalfPlanePoint) -> GramForm:
+    """Gram form of the lattice spanned by (1, 0) and (re, im): the integer
+    form tau_gram_entries over its first entry."""
     p, q = point.re.numerator, point.re.denominator
     r, s = point.im_sq.numerator, point.im_sq.denominator
-    qs = q * s
-    den, c = q * qs, p * p * s + r * q * q
+    den, b, c = tau_gram_entries(p, q, r, s)
     form = GramForm.__new__(GramForm)
-    form._reduce(_ONE, point.re, Fraction(c, den), den, p * qs, c, den)
+    form._reduce(_ONE, point.re, Fraction(c, den), den, b, c, den)
     return form
 
 
@@ -347,18 +354,16 @@ def class_form_columns(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """The primitive integer form (A, B, C) of tau_gram at tau = a/b +
     i sqrt(c/d), for int64 columns, and a bool column: 0 <= 2B <= A <= C.
 
-    The form is tau_gram's (q^2 s, pqs, p^2 s + r q^2) with p/q = a/b and
-    r/s = c/d, divided by its gcd. On a reduced form _lagrange stops at its
-    first step with u = 1, so a reduced row is the form's _reduction[:3]:
-    no row is reduced here. Raises unless every entry lies in
-    [0, MAX_COLUMN_HEIGHT].
+    The form is tau_gram_entries(a, b, c, d) divided by its gcd. On a
+    reduced form _lagrange stops at its first step with u = 1, so a reduced
+    row is the form's _reduction[:3]: no row is reduced here. Raises unless
+    every entry lies in [0, MAX_COLUMN_HEIGHT].
     """
     for col in (a, b, c, d):
         if col.size and not 0 <= col.min() <= col.max() <= MAX_COLUMN_HEIGHT:
             raise ValueError(f"column entries must lie in "
                              f"[0, {MAX_COLUMN_HEIGHT}] (int64 range)")
-    bd = b * d
-    form = np.stack((b * bd, a * bd, a * a * d + b * b * c))
+    form = np.stack(tau_gram_entries(a, b, c, d))
     form //= np.gcd.reduce(form)
     big_a, big_b, big_c = form
     return (big_a, big_b, big_c,

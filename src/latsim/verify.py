@@ -26,7 +26,10 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
 - reduction_invariance: canonical tau recovered after 1000 random modular
                 words of length <= 10
 - heights:      Weil-height bounds against their ceilings, height <= 50, and
-                the WR bound for pairs with b <= 200
+                on the WR pairs with b <= 200, in exact integers: with C' the
+                last entry of lattice.tau_gram_entries, 4 C' <= 5 m^3 one
+                census._class_blocks block at a time, and C' = b^4 on the
+                int64 pair columns
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def _worst_power_sum_deviation(tables: arith.SieveTables, bmax: int) -> float:
     """max over b = 2..bmax of |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4),
     as |24 S2 - phi b^2| / (6 2^omega b^2): both int64 sides stay below 2^53,
     so each float quotient is the correctly rounded rational."""
-    _, _, s2 = arith.power_sum_tables(bmax)
+    s2 = arith.power_sum_tables(bmax)
     b_sq = np.arange(2, bmax + 1, dtype=np.int64) ** 2
     num = np.abs(24 * s2[2:] - tables.phi[2:bmax + 1] * b_sq)
     den = 6 * (1 << tables.omega[2:bmax + 1].astype(np.int64)) * b_sq
@@ -394,43 +397,31 @@ def verify_reduction_invariance(n_points: int = 1000,
              f"words", ok, "exact" if ok else f"failed at {bad}")]
 
 
-def _weil_ceilings(max_m: int) -> np.ndarray:
-    """classes.weil_height_ceiling at each height m <= max_m, by index.
-
-    Each entry is computed in Python as weil_height_ceiling computes it:
-    numpy's ** 1.5 can differ from Python's by one ulp.
-    """
-    return np.array([math.sqrt(5) / 2 * m ** 1.5 for m in range(max_m + 1)])
-
-
-def _weil_bounds(a: int, b: int, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """classes.weil_height_bound of each quadruple (a, b, c[i], d[i]).
-
-    a^2 d + b^2 c <= 2 m^3 is an exact int64 below 2^53 at any height
-    m < 160,000, so np.sqrt rounds the same float as math.sqrt.
-    """
-    return np.maximum(b * np.sqrt(d), np.sqrt(a * a * d + b * b * c))
-
-
 def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check]:
+    # C' of a WR pair is b^4, below 2^60 for b < 2^15
+    if quadruple_height > lattice.MAX_COLUMN_HEIGHT or wr_bmax >= 1 << 15:
+        raise ValueError(f"heights capped at quadruple height "
+                         f"{lattice.MAX_COLUMN_HEIGHT} and WR b < 2^15 "
+                         f"(int64 range)")
     checks: list[Check] = []
-    ok = True
     bad = None
-    ceilings = _weil_ceilings(quadruple_height) + 1e-9
     for a, b, c, d in census._class_blocks(ClassSetId.ALL, quadruple_height):
-        over = np.flatnonzero(_weil_bounds(a, b, c, d)
-                              > ceilings[np.maximum(np.maximum(c, d), b)])
+        m = np.maximum(np.maximum(c, d), b)
+        over = np.flatnonzero(4 * lattice.tau_gram_entries(a, b, c, d)[2]
+                              > 5 * m ** 3)
         if over.size:
-            ok = False
             i = over[-1]
             bad = classes.TauQuadruple(a, b, int(c[i]), int(d[i]))
     checks.append((f"weil_height_bound <= (sqrt5/2) m^(3/2), height <= "
-                   f"{quadruple_height}", ok,
-                   "exhaustive" if ok else f"violated at {bad}"))
-    bad = next((p for p in census.enumerate_classes(ClassSetId.WELL_ROUNDED,
-                                                   wr_bmax)
-                if classes.weil_height_bound(classes.wr_pair_to_quadruple(p))
-                != classes.wr_weil_height_bound(p) ** 2), None)
+                   f"{quadruple_height}", bad is None,
+                   "exhaustive" if bad is None else f"violated at {bad}"))
+    a, b = (x.astype(np.int64) for x in
+            census._coprime_pairs(wr_bmax, arith.build_sieve(wr_bmax)))
+    bsq = b * b
+    wrong = np.flatnonzero(lattice.tau_gram_entries(a, b, bsq - a * a, bsq)[2]
+                           != bsq * bsq)
+    bad = (classes.WrPair(int(a[wrong[0]]), int(b[wrong[0]])) if wrong.size
+           else None)
     checks.append((f"weil_height_bound of the WR quadruple = (WR height "
                    f"bound)^2 for all pairs with b <= {wr_bmax}", bad is None,
                    "exhaustive" if bad is None else f"mismatch at {bad}"))

@@ -236,7 +236,7 @@ def test_euler_lemma_fails_on_zero_counts(monkeypatch):
 
 def test_power_sum_deviation_equals_the_fraction_loop():
     tables = arith.build_sieve(10_000)
-    _, _, s2 = arith.power_sum_tables(5000)
+    s2 = arith.power_sum_tables(5000)
     oracle = 0.0
     for b in range(2, 5001):
         phi_b = int(tables.phi[b])
@@ -348,37 +348,36 @@ def heights_detail_per_object(quadruple_height):
 
 
 def test_height_columns_equal_per_object_bounds_bit_for_bit():
-    ceilings = verify._weil_ceilings(50)
+    # the integer C' that verify_heights reads, one block at a time, is the
+    # square of each per-object bound
     for a, b, c, d in census._class_blocks(census.ClassSetId.ALL, 50):
-        qs = [classes.TauQuadruple(a, b, ci, di)
-              for ci, di in zip(c.tolist(), d.tolist())]
-        want_bound = np.array([classes.weil_height_bound(q) for q in qs])
-        want_ceiling = np.array([classes.weil_height_ceiling(q) for q in qs])
-        got_bound = verify._weil_bounds(a, b, c, d)
-        got_ceiling = ceilings[np.maximum(np.maximum(c, d), b)]
+        want_bound = np.array([classes.weil_height_bound(
+            classes.TauQuadruple(a, b, ci, di))
+            for ci, di in zip(c.tolist(), d.tolist())])
+        got_bound = np.sqrt(lattice.tau_gram_entries(a, b, c, d)[2])
         assert np.array_equal(got_bound.view(np.int64),
                               want_bound.view(np.int64)), (a, b)
-        assert np.array_equal(got_ceiling.view(np.int64),
-                              want_ceiling.view(np.int64)), (a, b)
+
+
+def inflated_at_height(height):
+    """lattice.tau_gram_entries with 5 m^3 added to C' for the quadruples
+    (p, q, r, s) of height m = max(q, r, s) = height, which pushes each of
+    them over its ceiling on the integer and the float path alike."""
+    entries = lattice.tau_gram_entries
+
+    def inflated(p, q, r, s):
+        big_a, big_b, big_c = entries(p, q, r, s)
+        m = np.maximum(np.maximum(r, s), q)
+        return big_a, big_b, big_c + (m == height) * 5 * m ** 3
+
+    return inflated
 
 
 def test_height_violation_names_the_same_class(monkeypatch):
-    # every class of height 37 is pushed over a ceiling of zero; both paths
-    # must report the last of them in stream order
+    # every class of height 37 is pushed over its ceiling; both paths must
+    # report the last of them in stream order
     name = "weil_height_bound <= (sqrt5/2) m^(3/2), height <= 40"
-    weil_ceilings = verify._weil_ceilings
-    weil_height_ceiling = classes.weil_height_ceiling
-
-    def lowered_table(max_m):
-        table = weil_ceilings(max_m)
-        table[37] = 0.0
-        return table
-
-    def lowered(q):
-        return 0.0 if classes.max_height(q) == 37 else weil_height_ceiling(q)
-
-    monkeypatch.setattr(verify, "_weil_ceilings", lowered_table)
-    monkeypatch.setattr(classes, "weil_height_ceiling", lowered)
+    monkeypatch.setattr(lattice, "tau_gram_entries", inflated_at_height(37))
     checks = [c for c in verify.verify_heights(quadruple_height=40, wr_bmax=5)
               if c[0] == name]
     assert len(checks) == 1 and not checks[0][1], checks
@@ -389,10 +388,29 @@ def test_height_violation_names_the_same_class(monkeypatch):
 
 
 def test_wr_height_check_fails_on_a_wrong_bound(monkeypatch):
-    monkeypatch.setattr(classes, "wr_weil_height_bound", lambda p: p.b + 1)
+    # C' - 1 keeps every class under its ceiling but no WR pair at b^4
+    entries = lattice.tau_gram_entries
+
+    def lowered(p, q, r, s):
+        big_a, big_b, big_c = entries(p, q, r, s)
+        return big_a, big_b, big_c - 1
+
+    monkeypatch.setattr(lattice, "tau_gram_entries", lowered)
     checks = verify.verify_heights(quadruple_height=5, wr_bmax=20)
     assert [passed for _, passed, _ in checks] == [True, False]
     assert checks[1][2] == "mismatch at WrPair(a=0, b=1)"
+
+
+def test_heights_beyond_int64_range_build_no_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(census, "_class_blocks", no_table)
+    monkeypatch.setattr(census, "_coprime_pairs", no_table)
+    monkeypatch.setattr(arith, "build_sieve", no_table)
+    for heights in ((lattice.MAX_COLUMN_HEIGHT + 1, 200), (50, 1 << 15)):
+        with pytest.raises(ValueError, match="int64"):
+            verify.verify_heights(*heights)
 
 
 def load_bench_workloads(monkeypatch):

@@ -315,18 +315,14 @@ class TestRestrictedPowerSum:
         assert restricted_power_sum(7, 0) == 3
 
     def test_matches_vectorized_tables(self):
-        s0, s1, s2 = arith.power_sum_tables(300)
+        s2 = arith.power_sum_tables(300)
         for b in range(2, 301):
-            assert restricted_power_sum(b, 0) == int(s0[b])
-            assert restricted_power_sum(b, 1) == int(s1[b])
             assert restricted_power_sum(b, 2) == int(s2[b])
 
     def test_sieve_tables_equal_direct_scan(self):
-        s0, s1, s2 = arith.power_sum_tables(5000)
+        s2 = arith.power_sum_tables(5000)
         rng = random.Random(23)
         for b in list(range(2, 301)) + rng.sample(range(301, 5001), 200):
-            assert restricted_power_sum(b, 0) == int(s0[b])
-            assert restricted_power_sum(b, 1) == int(s1[b])
             assert restricted_power_sum(b, 2) == int(s2[b])
 
     def test_rejects_bmax_beyond_int64_range(self):

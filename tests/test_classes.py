@@ -1,13 +1,18 @@
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from latsim import census, classes, lattice
+from latsim import census, classes, lattice, verify
 from latsim.census import ClassSetId
 from latsim.classes import (ClassKind, CoprimalityError, DomainError,
                             RangeError, TauQuadruple, WrPair)
+
+# the fields that weil_height_bound and weil_height_ceiling read, without
+# TauQuadruple's checks
+Quadruple = namedtuple("Quadruple", "a b c d")
 
 
 class TestValidation:
@@ -109,10 +114,24 @@ class TestHeights:
             assert classes.weil_height_bound(q) <= \
                 classes.weil_height_ceiling(q) + 1e-12
 
-    def test_wr_bound_is_b(self):
-        assert classes.wr_weil_height_bound(WrPair(0, 1)) == 1
-        assert classes.wr_weil_height_bound(WrPair(1, 2)) == 2
-        assert classes.wr_weil_height_bound(WrPair(3, 7)) == 7
+    def test_bound_equals_the_two_branch_formula(self):
+        # the bound before it dropped the b sqrt(d) branch is the oracle, at
+        # every class of height <= 60; 4 C' <= 5 m^3 is the float verdict
+        a, b, c, d = verify._class_columns(60)
+        oracle = np.maximum(b * np.sqrt(d), np.sqrt(a * a * d + b * b * c))
+        rows = list(map(Quadruple, *(col.tolist() for col in (a, b, c, d))))
+        got = np.array([classes.weil_height_bound(q) for q in rows])
+        assert np.array_equal(got.view(np.int64), oracle.view(np.int64))
+        c_prime = lattice.tau_gram_entries(a, b, c, d)[2]
+        m = np.maximum(np.maximum(c, d), b)
+        assert (4 * c_prime <= 5 * m ** 3).tolist() == [
+            bound <= classes.weil_height_ceiling(q) + 1e-9
+            for bound, q in zip(got.tolist(), rows)]
+
+    def test_wr_bound_is_the_squared_pair_height(self):
+        for p in (WrPair(0, 1), WrPair(1, 2), WrPair(3, 7)):
+            assert classes.weil_height_bound(
+                classes.wr_pair_to_quadruple(p)) == classes.pair_height(p) ** 2
 
     def test_pair_vs_quadruple_convention(self):
         p = WrPair(1, 2)
