@@ -7,8 +7,8 @@ Three families:
   lattice class (0, 1))
 
 count_bruteforce enumerates; count_fast reads N3 off Phi(T) and N1, N2 off
-one Farey-pair count in O(T^2 log T), and must agree with it everywhere both
-run. Main terms:
+one Farey-pair count (one sort of the pairs' a/b and a two-run merge, in
+O(T^2 log T)), and must agree with it everywhere both run. Main terms:
   N1 ~ 39 T^4 / (8 pi^4),  N2 ~ 3 T^4 / (8 pi^4),  N3 ~ 3 T^2 / (2 pi^2).
 """
 
@@ -33,12 +33,19 @@ BRUTEFORCE_LIMIT = 60
 _LIST_SLICE = 1 << 14
 
 # Largest T at which count_fast is exact for the quadruple sets, checked in
-# _farey_count. Its keys a^2/b^2 and queries c/d are correctly rounded
-# quotients of integers below T^2, so equal rationals give equal floats;
-# distinct ones in [0, 1/4] differ by at least 1/(b^2 d) >= 1/T^3, more than
-# the 2^-54 rounding can merge while T < 2^18, so their order survives too. The
-# int64 sum of the searchsorted ranks is at most P * |ys|: ~1.2e18 at 10^5.
+# _farey_count. Relative to c/d, its query fl(c/d) (4c <= d) is off by at most
+# 2^-53; relative to a^2/b^2 * (1 - 2^-49), its key fl(fl(x*x) * _SHRINK), with
+# x = fl(a/b), by at most 2^-51 (four roundings). So the key lies strictly below
+# every y >= a^2/b^2, the exact ties included, and not below a y < a^2/b^2 whose
+# relative gap exceeds 2^-49 + 2^-51 + 2^-53 ~ 2.3e-15. That gap is at least
+# 1/(b^2 c) >= 4/T^3 (b, d <= T, c <= T/4), 4e-15 at T = 10^5, so the argument
+# holds up to T ~ 1.2e5. The int64 sum of the running key counts over the P + M
+# merged entries is at most P * (P + M), ~3.5e18 < 2^63 at 10^5.
 MAX_FAST_HEIGHT = 100_000
+_SHRINK = 1.0 - 2.0 ** -49
+# bit pattern of 1/4: nonnegative floats order as their int64 bit patterns, and
+# those in [0, 1/4] lie in [0, 2^62), so they take a tag bit below them
+_QUARTER_BITS = int(np.float64(0.25).view(np.int64))
 
 
 class ClassSetId(enum.Enum):
@@ -93,7 +100,8 @@ def _coprime_pairs(T: int, tables: SieveTables
     """
     rows = np.arange(T + 1, dtype=np.int32)
     cols = rows[:T // 2 + 1]
-    mask = _coprime_mask(T, cols.size, tables) & (2 * cols <= rows[:, None])
+    mask = _coprime_mask(T, cols.size, tables)
+    mask &= 2 * cols <= rows[:, None]
     a = np.broadcast_to(cols, mask.shape)[mask]
     return a, np.repeat(rows, np.count_nonzero(mask, axis=1))
 
@@ -164,7 +172,8 @@ def count_fast(set_id: ClassSetId, T: int) -> int:
     For a pair (a, b) with r = a^2/b^2 <= 1/4, the c coprime to d in
     [d - floor(d r), d - 1] are the c = d - k, one for each Farey fraction
     k/d <= r of order T; as 1 <= 4k <= d, k/d is itself a pair. So with V
-    from _farey_count:
+    from _farey_count (one sort of the pairs' x = a/b; its slice x <= 1/4
+    and the squares x^2 are the two runs of one merge):
     N2(T) = P + V (c = d = 1 adds one class per pair) and
     N1(T) = P * Phi(T) + V (per pair the c <= T coprime to d give
     2 Phi(T) - 1, and those below the range Phi(T) - 1 less its share of V).
@@ -189,21 +198,42 @@ def _farey_count(T: int, tables: SieveTables) -> tuple[int, int]:
     """(P, V): P pairs 0 <= 2a <= b <= T, and V the (x, y) with x = a/b from
     them, y = c/d from those with 1 <= 4c <= d, and y <= x^2.
 
-    V is one searchsorted of the sorted y against the sorted keys x^2, each
-    the correctly rounded a^2/b^2: squaring a rounded a/b can break exact
-    ties such as (1/3)^2 = 1/9 (see MAX_FAST_HEIGHT).
+    One sort of the P values x = a/b gives two ascending runs: the M queries
+    y, its slice 0 < x <= 1/4, and the keys x*x*_SHRINK. Their bit patterns,
+    tagged in the low bit (0 query, 1 key), are merged by one stable sort
+    (timsort, which finds the two runs), a query before an equal key; the
+    running count of key tags then sums the keys below each query, plus
+    1 + ... + P over the keys. The shrink puts the exact ties y = x^2
+    (c = a^2, d = b^2 <= T) below their queries (see MAX_FAST_HEIGHT), so
+    their number, Phi(isqrt(T)) // 2, is added back.
     """
     if not 1 <= T <= MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
     a, b = _coprime_pairs(T, tables)
-    low = (4 * a <= b) & (a > 0)
-    ys = a[low] / b[low]
-    ys.sort()
-    keys = np.square(a, dtype=np.float64)
-    keys /= np.square(b, dtype=np.float64)
-    keys.sort()
-    below = np.searchsorted(keys, ys, side="left")
-    return keys.size, keys.size * ys.size - int(below.sum())
+    pairs = a.size
+    queries = int(np.count_nonzero(a <= b >> 2)) - 1  # all but (0, 1)
+    # x is sorted in the merge buffer's tail and its query slice copied to
+    # the head, so no other P-sized array outlives the pairs
+    merged = np.empty(pairs + queries, dtype=np.int64)
+    x = merged[queries:].view(np.float64)
+    np.divide(a, b, out=x)
+    del a, b
+    x.sort()
+    merged[:queries] = merged[1 + queries:1 + 2 * queries]
+    x *= x
+    x *= _SHRINK
+    # both runs ascend, so their ends bound every entry
+    ends = merged[[0, queries - 1, queries, -1]]
+    if ends.min() < 0 or ends.max() > _QUARTER_BITS:
+        raise ArithmeticError("Farey-pair values outside [0, 1/4]")
+    merged <<= 1
+    merged[queries:] |= 1
+    merged.sort(kind="stable")
+    merged &= 1
+    merged.cumsum(out=merged)
+    below = int(merged.sum()) - pairs * (pairs + 1) // 2
+    ties = int(tables.phi_prefix[math.isqrt(T)]) // 2
+    return pairs, pairs * queries - below + ties
 
 
 def main_terms(T: int) -> tuple[float, float, float]:

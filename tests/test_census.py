@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, prod
 
@@ -111,6 +112,22 @@ def sweep_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
             total += mu * (keys.size * (M if semistable else M * (M + 1) // 2)
                            + U[M])
     return total
+
+
+def searchsorted_farey_count(T: int, tables: arith.SieveTables
+                             ) -> tuple[int, int]:
+    """The two-sort kernel that _farey_count replaced, kept as an oracle: the
+    sorted queries y = a/b (1 <= 4a <= b) searched, by one searchsorted,
+    among the sorted correctly rounded keys a^2/b^2."""
+    a, b = census._coprime_pairs(T, tables)
+    low = (4 * a <= b) & (a > 0)
+    ys = a[low] / b[low]
+    ys.sort()
+    keys = np.square(a, dtype=np.float64)
+    keys /= np.square(b, dtype=np.float64)
+    keys.sort()
+    below = np.searchsorted(keys, ys, side="left")
+    return keys.size, keys.size * ys.size - int(below.sum())
 
 
 # Exact counts at which the two earlier kernels (Mobius and prefix tables)
@@ -239,6 +256,54 @@ class TestCounters:
                                        (True, ClassSetId.SEMISTABLE)):
                 assert census.count_fast(set_id, T) == \
                     sweep_oracle(semistable, T, tables), (T, set_id)
+
+    def test_farey_count_equals_searchsorted_oracle(self):
+        # the tie count Phi(isqrt(T)) // 2 steps at the squares
+        tables = arith.build_sieve(3200)
+        edges = [k * k + e for k in range(2, 41) for e in (-1, 0, 1)]
+        for T in sorted({*range(1, 401), *edges, 800, 1600, 3200}):
+            assert census._farey_count(T, tables) == \
+                searchsorted_farey_count(T, tables), T
+
+    def test_shrunk_keys_order_at_range_edge(self):
+        # a^2 d - c b^2 in {-1, 0, 1} with d <= 10^5 as large as its residue
+        # mod b^2 allows, so c is too; b^2 <= 10^5 leaves every residue a d
+        T = census.MAX_FAST_HEIGHT
+        rows = []
+        for b in range(2, math.isqrt(T) + 1):
+            bsq = b * b
+            for a in range(1, b // 2 + 1):
+                if gcd(a, b) != 1:
+                    continue
+                rows.append((a, b, a * a, bsq, 0))
+                inv = pow(a * a, -1, bsq)
+                for k in (-1, 1):
+                    r = k * inv % bsq
+                    d = r + (T - r) // bsq * bsq
+                    c, rem = divmod(a * a * d - k, bsq)
+                    assert rem == 0 and d <= T
+                    if 1 <= c and 4 * c <= d:
+                        rows.append((a, b, c, d, k))
+        a, b, c, d, k = np.array(rows, dtype=np.int64).T
+        assert set(k.tolist()) == {-1, 0, 1} and c.max() > T // 5
+        x = a / b
+        key = x * x * census._SHRINK
+        y = c / d
+        assert np.array_equal(np.sign(key - y), np.where(k > 0, 1, -1))
+
+    def test_range_argument_holds_at_max_height(self):
+        # exact worst cases of the rounding: x = fl(a/b), fl(x*x), fl(*shrink)
+        # against y = fl(c/d), with relative gap 4/T^3 between a^2/b^2 and c/d
+        u = Fraction(1, 2 ** 53)
+        shrink = Fraction(census._SHRINK)
+        assert shrink == 1 - Fraction(1, 2 ** 49)
+        gap = Fraction(4, census.MAX_FAST_HEIGHT ** 3)
+        assert (1 + gap) * (1 - u) ** 4 * shrink > 1 + u   # key above y
+        assert (1 + u) ** 4 * shrink < (1 + gap) * (1 - u)  # key below y
+        assert (1 + u) ** 4 * shrink < 1 - u                # ties below y
+        # and the argument fails soon above it (T ~ 1.2e5)
+        gap = Fraction(4, 125_000 ** 3)
+        assert (1 + gap) * (1 - u) ** 4 * shrink < 1 + u
 
     def test_pinned_counts(self):
         for (T, set_id), want in PINNED_COUNTS.items():
