@@ -103,7 +103,9 @@ def _coprime_pairs(T: int, tables: SieveTables
     mask = _coprime_mask(T, cols.size, tables)
     mask &= 2 * cols <= rows[:, None]
     a = np.broadcast_to(cols, mask.shape)[mask]
-    return a, np.repeat(rows, np.count_nonzero(mask, axis=1))
+    counts = np.count_nonzero(mask, axis=1)
+    del mask  # so the table is freed before np.repeat builds b
+    return a, np.repeat(rows, counts)
 
 
 def _class_blocks(set_id: ClassSetId, T: int

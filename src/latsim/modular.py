@@ -1,9 +1,9 @@
 """Numerical evaluation of the modular j-function on the upper half-plane.
 
-Inputs are first reduced into the standard fundamental domain, which pins
-|q| = exp(-2*pi*Im tau) <= exp(-pi*sqrt(3)) ~ 0.00433. There one loop over
-q^n, n <= J_TERMS, builds the Eisenstein series E4 and the discriminant
-from its product, and j is their quotient:
+j_invariant first reduces its input into the standard fundamental domain,
+which pins |q| = exp(-2*pi*Im tau) <= exp(-pi*sqrt(3)) ~ 0.00433. There
+one loop over q^n, n <= J_TERMS, builds the Eisenstein series E4 and the
+discriminant from its product, and j is their quotient:
 
     j = E4^3 / Delta,   E4 = 1 + 240 * sum sigma_3(n) q^n,
     Delta = q * prod (1 - q^n)^24.
@@ -19,15 +19,15 @@ first order in the unit roundoff.
 Normalization j(i) = 1728; j_normalized = j / 1728 maps the well-rounded arc
 |tau| = 1 onto [0, 1].
 
-j_columns takes a column of points. Its reduction takes the scalar steps on
-the entries still outside the domain, rounds them as the scalar does (the
-inversion follows CPython's complex division) and keeps the same drift. The
-series, the bound and the well-rounded verdict are the scalar ones
-(_j_series, _error_bound, _wr_verdict), applied to whole arrays; numpy's
-complex products and quotients may round otherwise than CPython's, and the
-bound's rounding terms cover both. The bound assumes numpy's float64 exp,
-sin and cos within 1 ULP, the figure numpy's own accuracy tests hold them
-to, as it assumes of the math module's.
+j_columns takes a column of points already in the strip |Re tau| <= 1/2,
+MIN_IM <= Im tau <= MAX_IM, where |q| <= Q_MAX without reduction, and
+refuses any other; every class point lies there (Im tau >= sqrt(3)/2). The
+series, the bound (with no drift term) and the well-rounded verdict are
+the scalar ones (_j_series, _error_bound, _wr_verdict), applied to whole
+arrays; numpy's complex products and quotients may round otherwise than
+CPython's, and the bound's rounding terms cover both. The bound assumes
+numpy's float64 exp, sin and cos within 1 ULP, the figure numpy's own
+accuracy tests hold them to, as it assumes of the math module's.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ ZETA3 = 1.2020569031595943
 J_TERMS = 20
 U = 2.0 ** -53          # unit roundoff of a double
 Q_MAX = 0.00434         # |q| on the reduced domain, exp(-pi*sqrt(3)) rounded up
+MIN_IM = -math.log(Q_MAX) / (2 * math.pi)   # Im tau where |q| = Q_MAX: 0.86578
 E6_BOUND = 3.6          # |E6| <= 1 + 504 * sum sigma_5(n) Q_MAX^n = 3.51 there
 # Relative rounding of -1/tau. CPython divides by Smith's method: 5U.
 INVERSION_ROUNDING = 6 * U
@@ -154,8 +155,9 @@ def _j_series(q):
 
 def _error_bound(e4, delta, value, im, drift):
     """est_error of j = value (module docstring), from _j_series at a
-    reduced point of imaginary part im that the reduction reached with this
-    drift; for floats or for float columns."""
+    point of imaginary part im where |q| <= Q_MAX, which the reduction
+    reached with this drift (0.0 for a point taken as given); for floats or
+    for float columns."""
     # q is off by (1.35 * 2*pi*Im + 6.6)U relatively (exp, sin, cos and
     # math.pi), which moves tau by that over 2*pi; the reduction moves it
     # by the drift term
@@ -169,12 +171,6 @@ def _error_bound(e4, delta, value, im, drift):
             + 2 * math.pi * e4_max ** 2 * E6_BOUND / abs_delta * shift)
 
 
-def _check_reduced_im(im: float) -> None:
-    if im > MAX_IM:
-        raise ValueError(f"Im tau = {im:g} too large after reduction "
-                         f"(limit {MAX_IM:g})")
-
-
 def j_invariant(tau: complex) -> JValue:
     """Evaluate j(tau) with a bound on its error (module docstring).
 
@@ -182,57 +178,12 @@ def j_invariant(tau: complex) -> JValue:
     Im tau > 100 (q^-1 would overflow).
     """
     tau, drift = reduce_to_fundamental_domain(complex(tau))
-    _check_reduced_im(tau.imag)
+    if tau.imag > MAX_IM:
+        raise ValueError(f"Im tau = {tau.imag:g} too large after reduction "
+                         f"(limit {MAX_IM:g})")
     e4, delta, value = _j_series(_nome(tau))
     return JValue(value=value,
                   est_error=_error_bound(e4, delta, value, tau.imag, drift))
-
-
-def reduce_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """reduce_to_fundamental_domain of each entry of a 1-d complex column.
-
-    Each round translates the entries not yet known to lie in the domain
-    and inverts those still inside the unit circle, as the scalar loop does
-    for one point, so each entry gets the scalar's steps and drift.
-    """
-    tau = np.array(tau, dtype=complex)
-    if tau.ndim != 1:
-        raise ValueError("need a 1-d column of points")
-    if not (tau.imag > 0).all():
-        raise ValueError("tau must lie in the open upper half-plane")
-    drift = np.zeros(tau.size)
-    rows = np.arange(tau.size)
-    for _ in range(MAX_REDUCE_STEPS):
-        moved = tau[rows] - np.round(tau[rows].real)
-        # np.hypot rounds as abs(complex) does; np.abs need not
-        radius = np.hypot(moved.real, moved.imag)
-        tau[rows] = moved
-        inside = radius < 1.0
-        if not inside.any():
-            return tau, drift
-        rows, moved = rows[inside], moved[inside]
-        drift[rows] += radius[inside] / moved.imag
-        tau[rows] = _invert_columns(moved)
-    raise ArithmeticError("fundamental-domain reduction did not converge")
-
-
-def _invert_columns(tau: np.ndarray) -> np.ndarray:
-    """-1/tau for each entry, in the steps by which CPython divides -1.0 by
-    a complex (Smith's method); numpy's complex division rounds otherwise.
-    """
-    x, y = tau.real, tau.imag
-    out = np.empty_like(tau)
-    wide = np.abs(x) >= np.abs(y)
-    ratio = y[wide] / x[wide]
-    den = x[wide] + y[wide] * ratio
-    out.real[wide] = -1.0 / den
-    out.imag[wide] = ratio / den
-    tall = ~wide
-    ratio = x[tall] / y[tall]
-    den = x[tall] * ratio + y[tall]
-    out.real[tall] = -ratio / den
-    out.imag[tall] = 1.0 / den
-    return out
 
 
 def _nome_columns(tau: np.ndarray) -> np.ndarray:
@@ -249,13 +200,18 @@ def _nome_columns(tau: np.ndarray) -> np.ndarray:
 
 
 def j_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """j_invariant of each entry of a 1-d complex column: the columns of
-    values and of est_error. Rejects the points j_invariant rejects."""
-    tau, drift = reduce_columns(tau)
-    if tau.size:
-        _check_reduced_im(tau.imag.max())
+    """j_invariant of each entry of a 1-d complex column in the strip
+    |Re tau| <= 1/2, MIN_IM <= Im tau <= MAX_IM (module docstring): the
+    columns of values and of est_error. Rejects any other entry, NaN too."""
+    tau = np.asarray(tau, dtype=complex)
+    if tau.ndim != 1:
+        raise ValueError("need a 1-d column of points")
+    if not ((np.abs(tau.real) <= 0.5) & (tau.imag >= MIN_IM)
+            & (tau.imag <= MAX_IM)).all():
+        raise ValueError(f"j_columns does not reduce: need |Re tau| <= 1/2 "
+                         f"and {MIN_IM:.5f} <= Im tau <= {MAX_IM:g}")
     e4, delta, value = _j_series(_nome_columns(tau))
-    return value, _error_bound(e4, delta, value, tau.imag, drift)
+    return value, _error_bound(e4, delta, value, tau.imag, 0.0)
 
 
 def j_normalized(tau: complex) -> JValue:

@@ -253,17 +253,6 @@ def class_columns(height: int):
                      for k in "abcd")
 
 
-def reduction_points() -> list[complex]:
-    """Points that need translations and inversions to reach the domain."""
-    rng = random.Random(61)
-    points = [complex(rng.uniform(-40, 40), rng.uniform(1e-3, 3.0))
-              for _ in range(2000)]
-    points += [complex(rng.randint(-9, 9) / 8, rng.randint(1, 16) / 8)
-               for _ in range(500)]
-    return points + inversion_points(verify.DEFAULT_SEED) + \
-        verify_modular_points()
-
-
 class TestColumns:
     """The column path against the scalar j, mpmath and classify."""
 
@@ -281,22 +270,28 @@ class TestColumns:
         with pytest.raises(ValueError):
             modular.tau_of_columns(1, 2 ** 53, 1, 1)
 
-    def test_reduce_columns_equals_scalar_bit_for_bit(self):
-        points = reduction_points()
-        taus, drifts = modular.reduce_columns(np.array(points))
-        want = [modular.reduce_to_fundamental_domain(p) for p in points]
-        assert taus.tolist() == [t for t, _ in want]
-        assert drifts.tolist() == [d for _, d in want]
-        assert (drifts > 0).sum() > 500
-
-    def test_columns_refuse_what_the_scalar_refuses(self):
-        for bad in ([0.5 - 1j], [1j, 0.5 + 0j], [0.1 + 150j, 1j]):
+    def test_columns_refuse_points_outside_the_strip(self):
+        # what the scalar refuses, then points it reduces or passes on; RHO
+        # (cos(pi/3) rounds up to 0.5000000000000001) lies one ULP outside
+        for bad in ([0.5 - 1j], [1j, 0.5 + 0j], [0.1 + 150j, 1j],
+                    [0.3 + 0.5j], [1j, 0.75 + 1j], [complex(0.25, math.nan)],
+                    [RHO]):
             with pytest.raises(ValueError):
                 modular.j_columns(np.array(bad))
         with pytest.raises(ValueError):
             modular.j_columns(np.array([[1j, 2j]]))
         value, error = modular.j_columns(np.array([], dtype=complex))
         assert value.size == error.size == 0
+        # the hexagonal class, the least Im tau of any class, is the double
+        # nearest rho; it and rho - 1 are taken as given
+        hexagonal = modular.tau_of_quadruple(TauQuadruple(1, 2, 3, 4))
+        assert hexagonal == complex(0.5, math.sqrt(3) / 2)
+        corners = [hexagonal, complex(-0.5, math.sqrt(3) / 2)]
+        value, error = modular.j_columns(np.array(corners))
+        for tau, v, e in zip(corners, value.tolist(), error.tolist()):
+            jv = modular.j_invariant(tau)
+            assert abs(v - jv.value) <= e + jv.est_error, tau
+            assert abs(v) <= e, tau
 
     def test_bound_covers_mpmath_and_is_tight_at_height_20(self):
         mpmath = pytest.importorskip("mpmath")
@@ -328,7 +323,7 @@ class TestColumns:
         # the arguments _nome_columns gives them
         mpmath = pytest.importorskip("mpmath")
         _, cols = class_columns(20)
-        taus, _ = modular.reduce_columns(modular.tau_of_columns(*cols))
+        taus = modular.tau_of_columns(*cols)
         x = -2.0 * math.pi * taus.imag
         t = 2.0 * taus.real
         y = math.pi * (t - np.round(t))
