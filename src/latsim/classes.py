@@ -62,7 +62,10 @@ class TauQuadruple:
 
     @property
     def tau(self) -> CanonicalTau:
-        return CanonicalTau.from_integers(self.a, self.b, self.c, self.d)
+        # __post_init__ checks what CanonicalTau checks (0 <= 2a <= b,
+        # c >= 1, and C >= A as c b^2 >= d (b^2 - a^2)), and the gcds: the
+        # entries are the point's lowest terms
+        return CanonicalTau._of_lowest_terms((self.a, self.b, self.c, self.d))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,25 @@
 """Exact planar lattice geometry over the rationals.
 
-Bases, Gram forms and half-plane points carry Fraction entries, but every
-decision runs on integers. The GramForm constructor scales the form to its
-primitive integer form (A, B, C) and Lagrange-reduces it, once per form.
+Half-plane points and Gram forms hold integers. A point with re = p/q and
+im_sq = r/s holds (p, q, r, s) in lowest terms; a form holds its primitive
+integer form (A, B, C) and the scale num/den, in lowest terms, that takes it
+to the rational form. Their Fraction entries (re, im_sq; g11, g12, g22) are
+read-only properties, each built on its first read and cached; equality and
+hash run on the integers. Bases (PlanarLattice) keep Fraction entries.
+
+Every decision runs on integers. The GramForm constructor scales the form to
+its primitive integer form and Lagrange-reduces it, once per form.
 Successive minima, the canonical fundamental-domain representative and the
 predicates (well-rounded, semi-stable, stable) are read off the reduced
 integer form, and constructors validate by integer cross-multiplication.
 Code that already holds the integers passes them on, and the checks run on
-them: tau_gram hands its integer form to the form's check and reduction, and
-canonical_tau, modular_act and TauQuadruple.tau build points with
-HalfPlanePoint.from_integers. Nothing takes a square root: everything is
-decided on squared quantities. tau_gram's integer form is written out once,
-in tau_gram_entries; class_form_columns, the CanonicalTau check and classes'
-height bound call it too.
+them: tau_gram hands a point's integer form to the form's check and
+reduction, and canonical_tau and modular_act build points with
+HalfPlanePoint.from_integers; TauQuadruple.tau, whose own check is
+CanonicalTau's, hands over its entries as they are. Nothing takes a square
+root: everything is decided on squared quantities. tau_gram's integer form
+is written out once, in tau_gram_entries; class_form_columns, the
+CanonicalTau check and classes' height bound call it too.
 
 class_form_columns is the column entry: for int64 class columns (a, b, c, d)
 it returns tau_gram's primitive integer form at tau = a/b + i sqrt(c/d) and
@@ -25,7 +32,7 @@ predicates (is_wr_reduced, is_semistable_reduced) and the canonical tau
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -33,25 +40,15 @@ import numpy as np
 
 Vec = tuple[Fraction, Fraction]
 
-# the frozen classes below set their fields through this in their
+# the frozen dataclasses below set their fields through this in their
 # constructors
 _setattr = object.__setattr__
-_ONE = Fraction(1)
 
 # Largest entry of the columns that class_form_columns takes. With every
 # entry in [0, T], each form entry is at most 2T^3, A^2 and AC - B^2 are at
 # most 2T^6 in size, and each of those times one more entry (the canonical
 # tau's cross-multiplication against a/b and c/d) at most 2T^7 < 2^63.
 MAX_COLUMN_HEIGHT = 463
-
-
-def _frac(x) -> Fraction:
-    """x as a Fraction; one that already is one is not re-wrapped."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def _frac_pair(v) -> Vec:
-    return (_frac(v[0]), _frac(v[1]))
 
 
 class _Reduction(NamedTuple):
@@ -107,8 +104,8 @@ class PlanarLattice:
     v2: Vec
 
     def __init__(self, v1, v2):
-        _setattr(self, "v1", _frac_pair(v1))
-        _setattr(self, "v2", _frac_pair(v2))
+        _setattr(self, "v1", (Fraction(v1[0]), Fraction(v1[1])))
+        _setattr(self, "v2", (Fraction(v2[0]), Fraction(v2[1])))
         if self.det == 0:
             raise ValueError("basis is singular")
 
@@ -117,81 +114,139 @@ class PlanarLattice:
         return self.v1[0] * self.v2[1] - self.v1[1] * self.v2[0]
 
 
-@dataclass(frozen=True)
-class GramForm:
+class _Exact:
+    """Base of the integer-backed types below. Instances are read-only, as
+    a frozen dataclass's are: constructors write their slots through the
+    slot setters _SET_*, and pickle and copy rebuild an instance through
+    its constructor (__reduce__). Within one class, equality and hash run
+    on the integer tuple _ints."""
+
+    __slots__ = ("_ints",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._ints == other._ints
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._ints)
+
+
+class GramForm(_Exact):
     """Positive definite binary quadratic form (Gram matrix of a basis).
 
-    Each constructor checks the form and Lagrange-reduces its primitive
-    integer form, once; equality, hash and repr read the entries only.
+    The form is num/den times the primitive integer form A x^2 + 2B xy +
+    C y^2, held as _ints = (A, B, C, num, den) with num/den in lowest
+    terms. Each constructor checks it and Lagrange-reduces (A, B, C), once.
+    The entries g11, g12, g22 are Fractions built on first read and kept in
+    slots that start as None.
     """
 
-    g11: Fraction
-    g12: Fraction
-    g22: Fraction
+    __slots__ = ("_reduction", "_g11", "_g12", "_g22")
 
     def __init__(self, g11, g12, g22):
-        g11, g12, g22 = _frac(g11), _frac(g12), _frac(g22)
+        g11, g12, g22 = Fraction(g11), Fraction(g12), Fraction(g22)
         d11, d12, d22 = g11.denominator, g12.denominator, g22.denominator
         den = math.lcm(d11, d12, d22)
-        self._reduce(g11, g12, g22, g11.numerator * (den // d11),
+        self._reduce(g11.numerator * (den // d11),
                      g12.numerator * (den // d12),
                      g22.numerator * (den // d22), den)
 
     @classmethod
     def _of_reduction(cls, r: _Reduction) -> "GramForm":
         """The reduced form r.num * (r.a, r.b, r.c) / r.den, which is its own
-        reduction (u = 1); raises unless r names a reduced primitive form."""
+        reduction (u = 1); raises unless r names a reduced primitive form
+        with its scale in lowest terms."""
         a, b, c, num, den = r.a, r.b, r.c, r.num, r.den
         if not (0 <= 2 * b <= a <= c and a * c > b * b and num >= 1
-                and den >= 1 and math.gcd(a, b, c) == 1):
+                and den >= 1 and math.gcd(a, b, c) == 1
+                and math.gcd(num, den) == 1):
             raise ValueError("not a reduced primitive form")
-        form = cls.__new__(cls)
-        form._set(Fraction(a * num, den), Fraction(b * num, den),
-                  Fraction(c * num, den), r._replace(u=(1, 0, 0, 1)))
+        form = _new(cls)
+        form._set((a, b, c, num, den), r._replace(u=(1, 0, 0, 1)))
         return form
 
-    def _reduce(self, g11: Fraction, g12: Fraction, g22: Fraction,
-                a: int, b: int, c: int, den: int) -> None:
-        """Check the form, with (a, b, c) = den*(g11, g12, g22) integers
-        and den >= 1, and set its entries and the reduction of
-        (a, b, c)/gcd(a, b, c). The constructor and tau_gram call it."""
+    def _reduce(self, a: int, b: int, c: int, den: int) -> None:
+        """Check the form (a, b, c)/den, integers with den >= 1, and set its
+        primitive integer form (a, b, c)/gcd(a, b, c), its scale and its
+        reduction. The constructor and tau_gram call it."""
         if not (a > 0 and c > 0 and a * c > b * b):
             raise ValueError("Gram form is not positive definite")
         num = math.gcd(a, b, c)
-        self._set(g11, g12, g22,
-                  _Reduction(*_lagrange(a // num, b // num, c // num),
-                             num, den))
+        a, b, c = a // num, b // num, c // num
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        self._set((a, b, c, num, den),
+                  _Reduction(*_lagrange(a, b, c), num, den))
 
-    def _set(self, g11: Fraction, g12: Fraction, g22: Fraction,
+    def _set(self, ints: tuple[int, int, int, int, int],
              reduction: _Reduction) -> None:
-        _setattr(self, "g11", g11)
-        _setattr(self, "g12", g12)
-        _setattr(self, "g22", g22)
-        _setattr(self, "_reduction", reduction)
+        _SET_INTS(self, ints)
+        _SET_REDUCTION(self, reduction)
+        _SET_G11(self, None)
+        _SET_G12(self, None)
+        _SET_G22(self, None)
+
+    @property
+    def g11(self) -> Fraction:
+        if self._g11 is None:
+            a, _, _, num, den = self._ints
+            _SET_G11(self, Fraction(a * num, den))
+        return self._g11
+
+    @property
+    def g12(self) -> Fraction:
+        if self._g12 is None:
+            _, b, _, num, den = self._ints
+            _SET_G12(self, Fraction(b * num, den))
+        return self._g12
+
+    @property
+    def g22(self) -> Fraction:
+        if self._g22 is None:
+            _, _, c, num, den = self._ints
+            _SET_G22(self, Fraction(c * num, den))
+        return self._g22
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(g11={self.g11!r}, "
+                f"g12={self.g12!r}, g22={self.g22!r})")
+
+    def __reduce__(self):
+        return type(self), (self.g11, self.g12, self.g22)
 
     @property
     def det(self) -> Fraction:
-        return self.g11 * self.g22 - self.g12 * self.g12
+        a, b, c, num, den = self._ints
+        return Fraction(num * num * (a * c - b * b), den * den)
 
     def value(self, x: int, y: int) -> Fraction:
         """Squared norm of x*v1 + y*v2."""
-        return self.g11 * x * x + 2 * self.g12 * x * y + self.g22 * y * y
+        a, b, c, num, den = self._ints
+        return Fraction(num * (a * x * x + 2 * b * x * y + c * y * y), den)
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
-    """Upper half-plane point with rational real part and squared imaginary
-    part; the imaginary part itself is generally irrational."""
+class HalfPlanePoint(_Exact):
+    """Upper half-plane point with rational real part re = p/q and squared
+    imaginary part im_sq = r/s, held as _ints = (p, q, r, s) in lowest terms
+    with q, s >= 1. re and im_sq are Fractions built on first read and kept
+    in slots that start as None. The imaginary part itself is generally
+    irrational."""
 
-    re: Fraction
-    im_sq: Fraction
+    __slots__ = ("_re", "_im_sq")
 
     def __init__(self, re, im_sq):
-        re, im_sq = _frac(re), _frac(im_sq)
-        self._check(re.numerator, re.denominator,
-                    im_sq.numerator, im_sq.denominator)
-        _setattr(self, "re", re)
-        _setattr(self, "im_sq", im_sq)
+        re, im_sq = Fraction(re), Fraction(im_sq)
+        p, q = re.numerator, re.denominator
+        r, s = im_sq.numerator, im_sq.denominator
+        self._check(p, q, r, s)
+        self._set((p, q, r, s))
 
     @classmethod
     def from_integers(cls, p: int, q: int, r: int, s: int) -> "HalfPlanePoint":
@@ -200,9 +255,16 @@ class HalfPlanePoint:
         if q < 1 or s < 1:
             raise ValueError("denominators must be >= 1")
         cls._check(p, q, r, s)
-        point = cls.__new__(cls)
-        _setattr(point, "re", Fraction(p, q))
-        _setattr(point, "im_sq", Fraction(r, s))
+        g, h = math.gcd(p, q), math.gcd(r, s)
+        return cls._of_lowest_terms((p // g, q // g, r // h, s // h))
+
+    @classmethod
+    def _of_lowest_terms(cls, ints: tuple[int, int, int, int]
+                         ) -> "HalfPlanePoint":
+        """The point with _ints = ints, unchecked: for callers whose own
+        checks imply cls._check's and gcd(p, q) = gcd(r, s) = 1."""
+        point = _new(cls)
+        point._set(ints)
         return point
 
     @staticmethod
@@ -213,14 +275,44 @@ class HalfPlanePoint:
         if r <= 0:
             raise ValueError("point must lie in the open upper half-plane")
 
+    def _set(self, ints: tuple[int, int, int, int]) -> None:
+        _SET_INTS(self, ints)
+        _SET_RE(self, None)
+        _SET_IM_SQ(self, None)
+
+    @property
+    def re(self) -> Fraction:
+        if self._re is None:
+            p, q, _, _ = self._ints
+            _SET_RE(self, Fraction(p, q))
+        return self._re
+
+    @property
+    def im_sq(self) -> Fraction:
+        if self._im_sq is None:
+            _, _, r, s = self._ints
+            _SET_IM_SQ(self, Fraction(r, s))
+        return self._im_sq
+
     @property
     def im(self) -> float:
-        return math.sqrt(self.im_sq)
+        # r / s rounds once, as float(im_sq) does
+        _, _, r, s = self._ints
+        return math.sqrt(r / s)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(re={self.re!r}, "
+                f"im_sq={self.im_sq!r})")
+
+    def __reduce__(self):
+        return type(self), (self.re, self.im_sq)
 
 
 class CanonicalTau(HalfPlanePoint):
     """The unique representative of a similarity class: 0 <= re <= 1/2 and
     re^2 + im_sq >= 1."""
+
+    __slots__ = ()
 
     @staticmethod
     def _check(p: int, q: int, r: int, s: int) -> None:
@@ -231,6 +323,17 @@ class CanonicalTau(HalfPlanePoint):
         big_a, _, big_c = tau_gram_entries(p, q, r, s)
         if big_c < big_a:
             raise ValueError("|tau| < 1: outside the fundamental domain")
+
+
+_new = object.__new__
+# the slots' own setters, which the constructors above write through
+_SET_INTS = _Exact._ints.__set__
+_SET_REDUCTION = GramForm._reduction.__set__
+_SET_G11 = GramForm._g11.__set__
+_SET_G12 = GramForm._g12.__set__
+_SET_G22 = GramForm._g22.__set__
+_SET_RE = HalfPlanePoint._re.__set__
+_SET_IM_SQ = HalfPlanePoint._im_sq.__set__
 
 
 @dataclass(frozen=True)
@@ -341,11 +444,9 @@ def tau_gram_entries(p, q, r, s):
 def tau_gram(point: HalfPlanePoint) -> GramForm:
     """Gram form of the lattice spanned by (1, 0) and (re, im): the integer
     form tau_gram_entries over its first entry."""
-    p, q = point.re.numerator, point.re.denominator
-    r, s = point.im_sq.numerator, point.im_sq.denominator
-    den, b, c = tau_gram_entries(p, q, r, s)
-    form = GramForm.__new__(GramForm)
-    form._reduce(_ONE, point.re, Fraction(c, den), den, b, c, den)
+    den, b, c = tau_gram_entries(*point._ints)
+    form = _new(GramForm)
+    form._reduce(den, b, c, den)
     return form
 
 
@@ -414,8 +515,7 @@ def modular_act(g: UnimodularMatrix, tau: HalfPlanePoint) -> HalfPlanePoint:
     N = q^2 s |c*tau + d|^2 = (cp + dq)^2 s + c^2 r q^2, the result has
     re = ((ap + bq)(cp + dq) s + ac r q^2) / N and im_sq = r s q^4 / N^2.
     """
-    p, q = tau.re.numerator, tau.re.denominator
-    r, s = tau.im_sq.numerator, tau.im_sq.denominator
+    p, q, r, s = tau._ints
     x = g.c * p + g.d * q
     q2 = q * q
     n = x * x * s + g.c * g.c * r * q2

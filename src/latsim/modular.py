@@ -276,9 +276,11 @@ def _wr_verdict(jn):
 def classify_by_j(q: TauQuadruple) -> bool:
     """Well-roundedness verdict read off the j-invariant alone.
 
-    True iff j(tau)/1728 is numerically real with real part in [0, 1].
+    True iff j(tau)/1728 is numerically real with real part in [0, 1]. One
+    j_invariant call gives the value, and value / 1728.0 is j_normalized's
+    value bit for bit.
     """
-    return _wr_verdict(j_normalized(tau_of_quadruple(q)).value)
+    return _wr_verdict(j_invariant(tau_of_quadruple(q)).value / 1728.0)
 
 
 def classify_by_j_columns(a, b, c, d) -> np.ndarray:

@@ -390,7 +390,7 @@ def verify_reduction_invariance(n_points: int = 1000,
             g = rng.choice((S, T, Tinv)) @ g
         moved = lattice.modular_act(g, tau)
         back = lattice.canonical_tau(lattice.tau_gram(moved))
-        if (back.re, back.im_sq) != (tau.re, tau.im_sq):
+        if back != tau:
             ok = False
             bad = (tau, g)
     return [(f"canonical_tau(Lambda_g(tau)) = tau on {n_points} random "

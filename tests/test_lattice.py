@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import math
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from latsim import census, lattice, verify
+from latsim.classes import TauQuadruple
 from latsim.lattice import (CanonicalTau, GramForm, HalfPlanePoint,
                             PlanarLattice, UnimodularMatrix)
 
@@ -559,3 +563,129 @@ class TestClassFormColumns:
                 cols[k] = bad * one
                 with pytest.raises(ValueError, match="int64"):
                     lattice.class_form_columns(*cols)
+
+
+class TestIntegerRepresentation:
+    """Points hold (p, q, r, s) and forms their primitive integer form and
+    scale; the Fraction entries are built on first read and equal the
+    Fraction oracle."""
+
+    def test_any_terms_give_equal_points_and_hashes(self):
+        rng = random.Random(47)
+        seen = 0
+        for _ in range(300):
+            q, s = rng.randint(1, 30), rng.randint(1, 30)
+            p, r = rng.randint(0, q // 2), rng.randint(1, 60)
+            k, m = rng.randint(2, 9), rng.randint(2, 9)
+            for cls in (HalfPlanePoint, CanonicalTau):
+                try:
+                    want = cls(Fraction(k * p, k * q), Fraction(m * r, m * s))
+                except ValueError:
+                    continue
+                got = cls.from_integers(k * p, k * q, m * r, m * s)
+                assert got == want and hash(got) == hash(want)
+                assert len({got, want}) == 1
+                assert got == cls.from_integers(p, q, r, s)
+                seen += cls is CanonicalTau
+        assert seen > 50
+        assert HalfPlanePoint(0, 1) != CanonicalTau(0, 1)
+
+    def test_forms_built_two_ways_are_equal(self):
+        tau = CanonicalTau.from_integers(2, 4, 6, 4)
+        form = lattice.tau_gram(tau)
+        same = GramForm(Fraction(4, 4), Fraction(2, 4), Fraction(14, 8))
+        assert form == same and hash(form) == hash(same)
+        reduced, _ = lattice.reduce_gram(form)
+        assert reduced == GramForm(reduced.g11, reduced.g12, reduced.g22)
+        # equality needs the scale in lowest terms, so a reduction must
+        # name it so
+        r = form._reduction
+        with pytest.raises(ValueError):
+            GramForm._of_reduction(r._replace(num=2 * r.num, den=2 * r.den))
+        # a multiple of a form is another form
+        assert GramForm(2, 1, 2) != GramForm(1, Fraction(1, 2), 1)
+
+    def test_quadruple_tau_equals_the_checked_point(self):
+        # TauQuadruple.tau skips CanonicalTau's check, which the quadruple's
+        # own check implies
+        for q in census.enumerate_classes(census.ClassSetId.ALL, 20):
+            tau = q.tau
+            assert type(tau) is CanonicalTau
+            assert tau == CanonicalTau.from_integers(q.a, q.b, q.c, q.d)
+
+    def test_entries_equal_the_fraction_oracle(self):
+        rng = random.Random(53)
+        for _ in range(500):
+            p, q = rng.randint(-50, 50), rng.randint(1, 50)
+            r, s = rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)
+            point = HalfPlanePoint.from_integers(p, q, r, s)
+            assert type(point.re) is Fraction and point.re == Fraction(p, q)
+            assert type(point.im_sq) is Fraction
+            assert point.im_sq == Fraction(r, s)
+            assert point.im.hex() == math.sqrt(Fraction(r, s)).hex()
+            g = [random_rational(rng, -10 ** 3, 10 ** 3) for _ in range(3)]
+            # g11 >= 1 and g22 > g12^2: positive definite
+            g[0], g[2] = abs(g[0]) + 1, g[1] * g[1] + abs(g[2]) + 1
+            form = GramForm(*g)
+            assert (form.g11, form.g12, form.g22) == tuple(g)
+            assert all(type(x) is Fraction
+                       for x in (form.g11, form.g12, form.g22))
+            assert form.det == g[0] * g[2] - g[1] * g[1]
+            assert form.value(3, -2) == 9 * g[0] - 12 * g[1] + 4 * g[2]
+
+    def test_repr_is_pinned(self):
+        assert repr(HalfPlanePoint(Fraction(-2, 6), Fraction(8, 2))) == \
+            "HalfPlanePoint(re=Fraction(-1, 3), im_sq=Fraction(4, 1))"
+        tau = CanonicalTau.from_integers(2, 4, 6, 4)
+        assert repr(tau) == \
+            "CanonicalTau(re=Fraction(1, 2), im_sq=Fraction(3, 2))"
+        assert repr(GramForm(Fraction(7, 3), Fraction(-11, 5), 9)) == \
+            "GramForm(g11=Fraction(7, 3), g12=Fraction(-11, 5), " \
+            "g22=Fraction(9, 1))"
+        assert repr(lattice.tau_gram(tau)) == \
+            "GramForm(g11=Fraction(1, 1), g12=Fraction(1, 2), " \
+            "g22=Fraction(7, 4))"
+
+    def test_read_only_and_copied_by_value(self):
+        tau = CanonicalTau(Fraction(1, 3), 4)
+        form = lattice.tau_gram(tau)
+        for obj, name in ((tau, "re"), (tau, "im_sq"), (tau, "extra"),
+                          (form, "g11"), (form, "g12"), (form, "g22"),
+                          (HalfPlanePoint(0, 1), "re")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, 1)
+            if name != "extra":
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(obj, name)
+        assert (tau.re, tau.im_sq) == (Fraction(1, 3), 4)
+        for obj in (tau, form):
+            for other in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(other) is type(obj) and other == obj
+
+    def test_pipeline_builds_no_fraction_until_read(self, monkeypatch):
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "Fraction", Counted)
+        g = UnimodularMatrix.inversion() @ UnimodularMatrix.translation(2)
+        kinds = []
+        # one class of each kind
+        for q in (TauQuadruple(1, 3, 8, 9), TauQuadruple(2, 7, 46, 49),
+                  TauQuadruple(1, 3, 10, 9)):
+            tau = q.tau
+            form = lattice.tau_gram(lattice.modular_act(g, tau))
+            back = lattice.canonical_tau(form)
+            kinds.append((lattice.is_well_rounded(form),
+                          lattice.is_semistable(form)))
+            assert back == tau
+        assert built == []
+        assert kinds == [(True, True), (False, True), (False, False)]
+        assert back.re == Fraction(1, 3)
+        assert built == [(1, 3)]
+        assert back.im_sq == Fraction(10, 9) and len(built) == 2
+        # a read is cached
+        assert back.re == Fraction(1, 3) and len(built) == 2

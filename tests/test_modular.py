@@ -360,3 +360,30 @@ class TestVerifySweep:
         checks = dict((n, (ok, detail)) for n, ok, detail in
                       verify.verify_modular())
         assert checks[name] == (False, f"mismatch at {last_wr}")
+
+
+class TestClassNumberOne:
+    """The exact j of the 13 class-number-one classes (CM_VALUES) as an
+    oracle for both paths, with no mpmath."""
+
+    def test_scalar_and_columns_within_their_bounds(self):
+        qs = list(CM_VALUES)
+        cols = tuple(np.array([getattr(q, k) for q in qs], dtype=np.int64)
+                     for k in "abcd")
+        value, error = modular.j_columns(modular.tau_of_columns(*cols))
+        for q, v, e in zip(qs, value.tolist(), error.tolist()):
+            want = CM_VALUES[q]
+            jv = modular.j_invariant(modular.tau_of_quadruple(q))
+            assert abs(jv.value - want) <= jv.est_error, q
+            assert abs(v - want) <= e, q
+
+    def test_classify_by_j_builds_one_value(self, monkeypatch):
+        wants = {q: modular._wr_verdict(modular.j_normalized(
+            modular.tau_of_quadruple(q)).value) for q in CM_VALUES}
+        built = []
+        original = modular.JValue
+        monkeypatch.setattr(modular, "JValue",
+                            lambda **kw: built.append(kw) or original(**kw))
+        for q, want in wants.items():
+            assert modular.classify_by_j(q) == want, q
+        assert len(built) == len(wants)
