@@ -19,15 +19,15 @@ first order in the unit roundoff.
 Normalization j(i) = 1728; j_normalized = j / 1728 maps the well-rounded arc
 |tau| = 1 onto [0, 1].
 
-j_columns takes a column of points already in the strip |Re tau| <= 1/2,
-MIN_IM <= Im tau <= MAX_IM, where |q| <= Q_MAX without reduction, and
-refuses any other; every class point lies there (Im tau >= sqrt(3)/2). The
-series, the bound (with no drift term) and the well-rounded verdict are
-the scalar ones (_j_series, _error_bound, _wr_verdict), applied to whole
-arrays; numpy's complex products and quotients may round otherwise than
-CPython's, and the bound's rounding terms cover both. The bound assumes
-numpy's float64 exp, sin and cos within 1 ULP, the figure numpy's own
-accuracy tests hold them to, as it assumes of the math module's.
+Class points are evaluated as given: classify_by_j and j_columns take
+points in the strip |Re tau| <= 1/2, MIN_IM <= Im tau <= MAX_IM, where
+|q| <= Q_MAX without reduction, and refuse any other (_in_strip); every
+class point lies there (Im tau >= sqrt(3)/2). classify_by_j computes only
+the value of j. j_columns applies the scalar series, bound (with no drift
+term) and verdict to whole arrays; numpy's complex products and quotients
+may round otherwise than CPython's, and the bound's rounding terms cover
+both. The bound assumes numpy's float64 exp, sin and cos within 1 ULP, the
+figure numpy's own accuracy tests hold them to, as of the math module's.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ from .classes import TauQuadruple
 MAX_IM = 100.0          # e^(2*pi*Im) overflows doubles near Im ~ 115
 MAX_REDUCE_STEPS = 10_000
 ZETA3 = 1.2020569031595943
-# Terms of both series. |q|^21 < 3e-50, so 20 and 30 terms give
-# bit-identical doubles on the reduced domain (tests/test_modular.py).
-J_TERMS = 20
+# Terms of both series: the fewest that give the doubles of 30 terms. With
+# 15 the E4 tail is below 2e-32 (|q|^16 < 1.6e-38), and every class of
+# height <= 30, 20,000 random points of the reduced domain and the 405
+# points of the modular verify suite match 30 terms bit for bit; 14 terms
+# differ at rho, where j ~ 3e-44 (tests/test_modular.py checks both).
+J_TERMS = 15
 U = 2.0 ** -53          # unit roundoff of a double
 Q_MAX = 0.00434         # |q| on the reduced domain, exp(-pi*sqrt(3)) rounded up
 MIN_IM = -math.log(Q_MAX) / (2 * math.pi)   # Im tau where |q| = Q_MAX: 0.86578
@@ -199,17 +202,24 @@ def _nome_columns(tau: np.ndarray) -> np.ndarray:
     return q
 
 
+_STRIP = f"|Re tau| <= 1/2 and {MIN_IM:.5f} <= Im tau <= {MAX_IM:g}"
+
+
+def _in_strip(tau):
+    """True where tau lies in the strip _STRIP (not at NaN); for a complex
+    or for a complex column."""
+    return (abs(tau.real) <= 0.5) & (tau.imag >= MIN_IM) & (tau.imag <= MAX_IM)
+
+
 def j_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """j_invariant of each entry of a 1-d complex column in the strip
-    |Re tau| <= 1/2, MIN_IM <= Im tau <= MAX_IM (module docstring): the
-    columns of values and of est_error. Rejects any other entry, NaN too."""
+    (_in_strip, module docstring): the columns of values and of est_error.
+    Rejects any other entry."""
     tau = np.asarray(tau, dtype=complex)
     if tau.ndim != 1:
         raise ValueError("need a 1-d column of points")
-    if not ((np.abs(tau.real) <= 0.5) & (tau.imag >= MIN_IM)
-            & (tau.imag <= MAX_IM)).all():
-        raise ValueError(f"j_columns does not reduce: need |Re tau| <= 1/2 "
-                         f"and {MIN_IM:.5f} <= Im tau <= {MAX_IM:g}")
+    if not _in_strip(tau).all():
+        raise ValueError(f"j_columns does not reduce: need {_STRIP}")
     e4, delta, value = _j_series(_nome_columns(tau))
     return value, _error_bound(e4, delta, value, tau.imag, 0.0)
 
@@ -276,11 +286,14 @@ def _wr_verdict(jn):
 def classify_by_j(q: TauQuadruple) -> bool:
     """Well-roundedness verdict read off the j-invariant alone.
 
-    True iff j(tau)/1728 is numerically real with real part in [0, 1]. One
-    j_invariant call gives the value, and value / 1728.0 is j_normalized's
-    value bit for bit.
+    True iff j(tau)/1728 is numerically real with real part in [0, 1]. The
+    class point is taken as given, as j_columns takes it, and refused
+    outside the strip (_in_strip); only the value of j is computed.
     """
-    return _wr_verdict(j_invariant(tau_of_quadruple(q)).value / 1728.0)
+    tau = tau_of_quadruple(q)
+    if not _in_strip(tau):
+        raise ValueError(f"classify_by_j does not reduce: need {_STRIP}")
+    return _wr_verdict(_j_series(_nome(tau))[2] / 1728.0)
 
 
 def classify_by_j_columns(a, b, c, d) -> np.ndarray:

@@ -13,11 +13,12 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 arith.coprime_counts call) and the restricted power-sum
                 constant (b <= 5000)
 - haar:         hyperbolic-volume quadrature against closed forms
-- modular:      j special values, symmetries on 100 random points, boundary
-                realness (100 samples per component), and the j verdicts
-                of every class of height <= 20 against classify's, taken
-                as columns: modular.classify_by_j_columns against
-                classes.is_wr_entries
+- modular:      j special values, j_columns against the exact integer j of
+                the 13 classes of class number one, symmetries on 100
+                random points, boundary realness (100 samples per
+                component), and the j verdicts of every class of height
+                <= 20 against classify's, taken as columns:
+                modular.classify_by_j_columns against classes.is_wr_entries
 - geometry:     parametrized classification vs exact geometric predicates,
                 height <= 20, over int64 columns (a, b, c, d): the kind from
                 the WR and semi-stable rules on lattice.class_form_columns'
@@ -59,6 +60,24 @@ POWER_SUM_CONSTANT = 4.0
 EULER_BLOCK = 256
 # upper end of Im tau for verify_modular's random points
 RANDOM_IM_HI = 2.0
+# The 13 classes of class number one and their exact j (Cox, Primes of the
+# Form x^2 + ny^2, section 12): tau = i*sqrt(n) or (1 + i*sqrt(D))/2. Every
+# j here is a double exactly.
+CLASS_NUMBER_ONE_J = {
+    classes.TauQuadruple(1, 2, 3, 4): 0,
+    classes.TauQuadruple(0, 1, 1, 1): 1728,
+    classes.TauQuadruple(1, 2, 7, 4): -15 ** 3,
+    classes.TauQuadruple(0, 1, 2, 1): 20 ** 3,
+    classes.TauQuadruple(1, 2, 11, 4): -32 ** 3,
+    classes.TauQuadruple(0, 1, 3, 1): 2 * 30 ** 3,
+    classes.TauQuadruple(0, 1, 4, 1): 66 ** 3,
+    classes.TauQuadruple(1, 2, 19, 4): -96 ** 3,
+    classes.TauQuadruple(1, 2, 27, 4): -3 * 160 ** 3,
+    classes.TauQuadruple(0, 1, 7, 1): 255 ** 3,
+    classes.TauQuadruple(1, 2, 43, 4): -960 ** 3,
+    classes.TauQuadruple(1, 2, 67, 4): -5280 ** 3,
+    classes.TauQuadruple(1, 2, 163, 4): -640320 ** 3,
+}
 
 
 def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
@@ -294,6 +313,14 @@ def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
     j_rho = modular.j_invariant(rho).value
     checks.append(("j(rho) = 0 within 1e-9",
                    abs(j_rho) < 1e-9, f"{abs(j_rho):.3g}"))
+    cm = tuple(np.array([getattr(q, k) for q in CLASS_NUMBER_ONE_J],
+                        dtype=np.int64) for k in "abcd")
+    value, error = modular.j_columns(modular.tau_of_columns(*cm))
+    exact = np.array(list(CLASS_NUMBER_ONE_J.values()), dtype=float)
+    near = np.abs(value - exact) <= error
+    checks.append(("j_columns within est_error of the exact j at the 13 "
+                   "class-number-one classes", bool(near.all()),
+                   _mismatch_detail(cm, near)))
 
     pts = _random_upper_points(rng)
     per = max(abs(modular.j_invariant(p + 1).value

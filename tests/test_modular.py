@@ -13,32 +13,18 @@ RHO = cmath.exp(1j * math.pi / 3)
 # Classes within 4e-7 of the unit arc (classify_by_j's known defect)
 NEAR_ARC = (TauQuadruple(19, 149, 121, 123), TauQuadruple(27, 166, 184, 189))
 ORACLE_TERMS = 30
-# The 13 classes of class number one and their exact j (Cox, Primes of the
-# Form x^2 + ny^2, section 12): tau = i*sqrt(n) or (1 + i*sqrt(D))/2.
-CM_VALUES = {
-    TauQuadruple(1, 2, 3, 4): 0,
-    TauQuadruple(0, 1, 1, 1): 1728,
-    TauQuadruple(1, 2, 7, 4): -15 ** 3,
-    TauQuadruple(0, 1, 2, 1): 20 ** 3,
-    TauQuadruple(1, 2, 11, 4): -32 ** 3,
-    TauQuadruple(0, 1, 3, 1): 2 * 30 ** 3,
-    TauQuadruple(0, 1, 4, 1): 66 ** 3,
-    TauQuadruple(1, 2, 19, 4): -96 ** 3,
-    TauQuadruple(1, 2, 27, 4): -3 * 160 ** 3,
-    TauQuadruple(0, 1, 7, 1): 255 ** 3,
-    TauQuadruple(1, 2, 43, 4): -960 ** 3,
-    TauQuadruple(1, 2, 67, 4): -5280 ** 3,
-    TauQuadruple(1, 2, 163, 4): -640320 ** 3,
-}
+# The 13 classes of class number one and their exact j, the table that the
+# modular verify suite checks j_columns against.
+CM_VALUES = verify.CLASS_NUMBER_ONE_J
 
 
-def j_oracle(tau: complex) -> complex:
-    """j(tau) from the 30-term series, on the same reduced tau and nome and in
-    the same order of operations as modular.j_invariant."""
+def j_oracle(tau: complex, terms: int = ORACLE_TERMS) -> complex:
+    """j(tau) from the series to q^terms, on the same reduced tau and nome
+    and in the same order of operations as modular.j_invariant."""
     tau, _ = modular.reduce_to_fundamental_domain(complex(tau))
     q = modular._nome(tau)
     qn = e4 = prod = 1.0 + 0.0j
-    for n in range(1, ORACLE_TERMS + 1):
+    for n in range(1, terms + 1):
         qn *= q
         e4 += 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0) * qn
         prod *= 1.0 - qn
@@ -110,6 +96,16 @@ class TestJInvariant:
             got, want = modular.j_invariant(tau).value, j_oracle(tau)
             assert (got.real.hex(), got.imag.hex()) == \
                 (want.real.hex(), want.imag.hex()), tau
+
+    def test_one_term_fewer_differs_at_rho(self):
+        # the evidence that J_TERMS is the fewest: one term less changes j
+        # at the hexagonal class, where j(rho) ~ 3e-44
+        tau = modular.tau_of_quadruple(TauQuadruple(1, 2, 3, 4))
+        want = j_oracle(tau)
+        assert modular.j_invariant(tau).value.real.hex() == want.real.hex()
+        got = j_oracle(tau, modular.J_TERMS - 1)
+        assert (got.real.hex(), got.imag.hex()) != \
+            (want.real.hex(), want.imag.hex())
 
 
 def class_taus(height: int) -> list[complex]:
@@ -242,6 +238,27 @@ class TestClassifyByJ:
         for q in census.enumerate_classes(ClassSetId.ALL, 10):
             assert modular.classify_by_j(q) == \
                 (classes.classify(q) is classes.ClassKind.WELL_ROUNDED)
+
+    def test_class_points_as_given_equal_the_reducing_path(self):
+        # the reduction leaves every class point as it is, so the verdict
+        # on the point as given equals the old one on j_invariant's value
+        qs = list(census.enumerate_classes(ClassSetId.ALL, 30)) + \
+            list(NEAR_ARC)
+        assert len(qs) == 41_827
+        for q in qs:
+            tau = modular.tau_of_quadruple(q)
+            reduced, drift = modular.reduce_to_fundamental_domain(tau)
+            assert (reduced.real.hex(), reduced.imag.hex(), drift) == \
+                (tau.real.hex(), tau.imag.hex(), 0.0), q
+            oracle = modular._wr_verdict(
+                modular.j_invariant(tau).value / 1728.0)
+            assert modular.classify_by_j(q) == oracle, q
+
+    def test_refuses_points_outside_the_strip(self):
+        # Im tau = sqrt(20000) ~ 141 > MAX_IM, refused as before
+        q = TauQuadruple(0, 1, 20000, 1)
+        with pytest.raises(ValueError):
+            modular.classify_by_j(q)
 
 
 def class_columns(height: int):
@@ -377,13 +394,46 @@ class TestClassNumberOne:
             assert abs(jv.value - want) <= jv.est_error, q
             assert abs(v - want) <= e, q
 
-    def test_classify_by_j_builds_one_value(self, monkeypatch):
+    def test_classify_by_j_computes_only_the_value(self, monkeypatch):
         wants = {q: modular._wr_verdict(modular.j_normalized(
             modular.tau_of_quadruple(q)).value) for q in CM_VALUES}
-        built = []
-        original = modular.JValue
-        monkeypatch.setattr(modular, "JValue",
-                            lambda **kw: built.append(kw) or original(**kw))
+        calls = dict.fromkeys(
+            ("JValue", "_error_bound", "reduce_to_fundamental_domain"), 0)
+
+        def counted(name):
+            original = getattr(modular, name)
+
+            def call(*args, **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(modular, name, counted(name))
         for q, want in wants.items():
             assert modular.classify_by_j(q) == want, q
-        assert len(built) == len(wants)
+        assert set(calls.values()) == {0}
+        # the counters count: j_invariant takes all three once
+        modular.j_invariant(1j)
+        assert set(calls.values()) == {1}
+
+    def test_verify_check_names_a_mismatch(self, monkeypatch):
+        name = ("j_columns within est_error of the exact j at the 13 "
+                "class-number-one classes")
+        assert all(float(j) == j for j in CM_VALUES.values())
+        checks = dict((n, (ok, detail)) for n, ok, detail in
+                      verify.verify_modular())
+        assert checks[name] == (True, "exhaustive")
+
+        real = modular.j_columns
+
+        def off_at_163(tau):
+            value, error = real(tau)
+            value[-1] += 2 * error[-1]
+            return value, error
+
+        monkeypatch.setattr(modular, "j_columns", off_at_163)
+        checks = dict((n, (ok, detail)) for n, ok, detail in
+                      verify.verify_modular())
+        assert checks[name] == (False,
+                                f"mismatch at {TauQuadruple(1, 2, 163, 4)}")
