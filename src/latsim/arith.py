@@ -5,9 +5,12 @@ Provides:
   phi(n), omega(n) (distinct prime factors), d(n) (divisor count), prefix
   sums of phi
 - Restricted totient phi_{alpha,beta}(n) on open intervals (alpha*n, beta*n)
+- A table of the signed squarefree divisors (e, mu(e)) of every n up to a
+  bound, built once from the sieve's mu
 - Coprime counting on closed integer ranges via Mobius inclusion-exclusion
   over the signed squarefree divisors of n: one range at a time, or a batch
-  of ranges per n in int64 arrays with the divisors read off the sieve
+  of ranges per n in int64 arrays with the divisors read off that table and
+  every term of the batch counted in one exact float64 pass
 - Power sums S2(b) of the squares of the residues coprime to b in [1, b/2]
 """
 
@@ -24,6 +27,14 @@ MAX_POWER_SUM_B = 10 ** 6
 # Largest sieve bound, refused before any table is allocated: a sieve to
 # 10^7 peaks at about 360 MB, and no count or check needs a larger one.
 MAX_SIEVE_BOUND = 10 ** 7
+# Largest bound of a squarefree-divisor table, refused before any array is
+# allocated: the table holds sum over n <= N of 2^omega(n), about
+# (6 / pi^2) N (ln N + 1.29) entries: 63,869 at 10^4, and 9.2 million
+# (54 MB) at 10^6, where its build peaks at about 250 MB.
+MAX_DIVISOR_BOUND = 10 ** 6
+# coprime_counts takes |lo|, |hi| below this bound, where its float64
+# counts are exact (its docstring says why)
+COUNT_RANGE = 2 ** 45
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +140,55 @@ def _squarefree_divisors(primes: Sequence[int]) -> list[tuple[int, int]]:
     return divs
 
 
+@dataclass(frozen=True, eq=False)
+class SquarefreeDivisors:
+    """The signed squarefree divisors (e, mu(e)) of every n = 1..bound.
+
+    The divisors of n sit at start[n]:start[n + 1] of e and mu, e
+    increasing; row 0 is empty. Immutable after construction; equality and
+    hash are by identity, as for SieveTables.
+    """
+
+    bound: int
+    start: np.ndarray  # int64, length bound + 2
+    e: np.ndarray      # squarefree divisor, int32
+    mu: np.ndarray     # its Mobius sign, int8
+
+    def __post_init__(self):
+        for arr in (self.start, self.e, self.mu):
+            arr.setflags(write=False)
+
+
+def squarefree_divisor_table(tables: SieveTables) -> SquarefreeDivisors:
+    """The signed squarefree divisors of every n up to tables.bound.
+
+    Each squarefree e lists its multiples n = k e, as the keys n 2^32 + e;
+    one sort of the keys gathers each n's divisors, in increasing order.
+    Row n has 2^omega(n) entries.
+    """
+    bound = tables.bound
+    if bound > MAX_DIVISOR_BOUND:
+        raise ValueError(f"divisor table bound {bound} exceeds "
+                         f"{MAX_DIVISOR_BOUND}")
+    # int32 but for the keys: every multiple is at most bound
+    squarefree = np.flatnonzero(tables.mu).astype(np.int32)
+    count = bound // squarefree
+    e = np.repeat(squarefree, count)
+    # the multiple n = k e of each entry, k = 1..count, then its key
+    key = np.arange(1, len(e) + 1, dtype=np.int64)
+    key -= np.repeat(np.cumsum(count) - count, count)
+    key *= e
+    key <<= 32
+    key |= e
+    key.sort()
+    e = np.bitwise_and(key, 0xFFFFFFFF, out=key).astype(np.int32)
+    start = np.zeros(bound + 2, dtype=np.int64)
+    np.cumsum(np.int64(1) << tables.omega[1:].astype(np.int64),
+              out=start[2:])
+    return SquarefreeDivisors(bound=bound, start=start, e=e,
+                              mu=tables.mu[e])
+
+
 def phi_restricted(alpha: Fraction, beta: Fraction, n: int) -> int:
     """Count integers k in the open interval (alpha*n, beta*n) coprime to n.
 
@@ -170,52 +230,55 @@ def coprime_count_range(lo: int, hi: int, n: int) -> int:
 
 
 def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
-                   tables: SieveTables) -> np.ndarray:
+                   divisors: SquarefreeDivisors) -> np.ndarray:
     """coprime_count_range(lo[r, c], hi[r, c], n[r]) for every entry, int64.
 
-    lo and hi have shape (len(n), m), n is 1-d with 1 <= n <= tables.bound,
-    and every |lo|, |hi| is below 2^62. The divisor e = 1 gives hi - lo + 1.
-    Each round then keeps the rows with a prime left in n, strips the
-    smallest, p, and adds the divisors that p doubles: e * p with the sign
-    flipped, over those rows only, so a row takes 2^omega(n) divisors and
-    no pads. An int64 sum that wraps still ends on the exact count, which
-    fits.
+    lo and hi have shape (len(n), m), n is 1-d with 1 <= n <= divisors.bound,
+    and every |lo|, |hi| is below COUNT_RANGE = 2^45. Row r reads the
+    signed divisors (e, mu(e)) of n[r] off the table; one float64
+    divide-and-floor pass gives every (row, divisor) term
+    mu(e) (floor(hi / e) - floor((lo - 1) / e)) of the call, and one
+    np.add.reduceat sums each row's terms.
+
+    Every step is exact. A quotient x / e with |x| < 2^53 and e >= 1
+    rounds to within |x / e| 2^-53 < 1/e of itself, while a non-integer
+    x / e lies at least 1/e from every integer, so floor(fl(x / e)) =
+    floor(x / e). Both floors are at most 2^45 in size, so their difference
+    is exact; it counts the multiples of e in [lo, hi], at most
+    hi - lo + 1 < 2^46 of them. A row sums 2^omega(n) <= 2^7 such terms
+    (omega(n) <= 7 for n <= MAX_DIVISOR_BOUND = 10^6), so every partial sum,
+    in any order, is an integer below 2^53, and each float addition is
+    exact too.
     """
     lo, hi, n = (np.asarray(a, dtype=np.int64) for a in (lo, hi, n))
     if n.ndim != 1 or lo.ndim != 2 or hi.shape != lo.shape \
             or len(lo) != len(n):
         raise ValueError("need 1-d n and lo, hi of shape (len(n), m)")
-    if n.size and (n.min() < 1 or n.max() > tables.bound):
-        raise ValueError(f"need 1 <= n <= sieve bound {tables.bound}")
-    if lo.size and not (-2 ** 62 < min(lo.min(), hi.min())
-                        and max(lo.max(), hi.max()) < 2 ** 62):
-        raise ValueError("need |lo|, |hi| < 2^62")
+    if n.size and (n.min() < 1 or n.max() > divisors.bound):
+        raise ValueError(f"need 1 <= n <= divisor table bound "
+                         f"{divisors.bound}")
+    if lo.size and not (-COUNT_RANGE < min(lo.min(), hi.min())
+                        and max(lo.max(), hi.max()) < COUNT_RANGE):
+        raise ValueError("need |lo|, |hi| < 2^45")
     if (lo > hi + 1).any():
         raise ValueError("need lo <= hi + 1")
-    lo_1 = lo - 1
-    total = hi - lo_1
-    # the rows with a prime left, what is left of their n, and the divisors
-    # found so far with their Mobius signs
-    rows = np.arange(len(n))
-    rest = n.copy()
-    e = np.ones((len(n), 1), dtype=np.int64)
-    mu = np.ones((len(n), 1), dtype=np.int64)
-    while True:
-        left = rest > 1
-        rows, rest, e, mu = rows[left], rest[left], e[left], mu[left]
-        if not rows.size:
-            return total
-        p = tables.spf[rest]
-        while (div := rest % p == 0).any():
-            rest[div] //= p[div]
-        e_p, mu_p = e * p[:, None], -mu
-        hi_r, lo_r = hi[rows], lo_1[rows]
-        part = np.zeros_like(hi_r)
-        for c in range(e_p.shape[1]):
-            e_c = e_p[:, c:c + 1]
-            part += mu_p[:, c:c + 1] * (hi_r // e_c - lo_r // e_c)
-        total[rows] += part
-        e, mu = np.hstack([e, e_p]), np.hstack([mu, mu_p])
+    # term t is divisor k[t] of row rows[t]; row r's terms start at at[r]
+    first = divisors.start[n]
+    size = divisors.start[n + 1] - first
+    rows = np.repeat(np.arange(len(n)), size)
+    at = np.cumsum(size) - size
+    k = np.arange(len(rows)) + np.repeat(first - at, size)
+    # rows r of x are hi, rows len(n) + r are lo - 1; a term with
+    # mu(e) = -1 reads the two the other way round, so that q[t] - q[K + t]
+    # is mu(e) times the count of multiples of e in [lo, hi]
+    K = len(k)
+    x = np.vstack([hi, lo - 1]).astype(np.float64)
+    neg = (divisors.mu[k] < 0) * len(n)
+    q = x[np.concatenate([rows + neg, rows + len(n) - neg])]
+    q /= np.tile(divisors.e[k].astype(np.float64), 2)[:, None]
+    np.floor(q, out=q)
+    terms = np.subtract(q[:K], q[K:], out=q[:K])
+    return np.add.reduceat(terms, at, axis=0).astype(np.int64)
 
 
 def power_sum_tables(bmax: int) -> np.ndarray:

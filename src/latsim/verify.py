@@ -10,12 +10,15 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 uniform den in [2, 64], then a uniform pair 0 <= lo < hi <=
                 den; the intervals of 256 n at a time drawn from one block
                 of the seeded stream's bytes and counted in one
-                arith.coprime_counts call) and the restricted power-sum
-                constant (b <= 5000)
+                arith.coprime_counts call, which reads each n's signed
+                squarefree divisors off one arith.squarefree_divisor_table
+                built per run) and the restricted power-sum constant
+                (b <= 5000)
 - haar:         hyperbolic-volume quadrature against closed forms
 - modular:      j special values, j_columns against the exact integer j of
                 the 13 classes of class number one, symmetries on 100
-                random points, boundary realness (100 samples per
+                random points (j at each point evaluated once and shared by
+                the three symmetry checks), boundary realness (100 samples per
                 component), and the j verdicts of every class of height
                 <= 20 against classify's, taken as columns:
                 modular.classify_by_j_columns against classes.is_wr_entries
@@ -25,7 +28,7 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 primitive form against classes.kind_entries, and its
                 canonical tau against (a/b, c/d) by cross-multiplication
 - reduction_invariance: canonical tau recovered after 1000 random modular
-                words of length <= 10
+                words of length <= 10, tau and the word drawn in integers
 - heights:      Weil-height bounds against their ceilings, height <= 50, and
                 on the WR pairs with b <= 200, in exact integers: with C' the
                 last entry of lattice.tau_gram_entries, 4 C' <= 5 m^3 one
@@ -39,9 +42,8 @@ import cmath
 import inspect
 import math
 import random
-from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -55,8 +57,8 @@ DEFAULT_SEED = 20260823
 # verify_euler's bound on |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4)
 POWER_SUM_CONSTANT = 4.0
 # verify_euler draws and counts the intervals of this many n at a time; its
-# process then peaks at about 32 MB (ru_maxrss), against 34 MB with 1,000 n
-# per block and 52 MB with one block over all n
+# process then peaks at about 34 MB (ru_maxrss), against 37 MB with 1,000 n
+# per block and 71 MB with one block over all n
 EULER_BLOCK = 256
 # upper end of Im tau for verify_modular's random points
 RANDOM_IM_HI = 2.0
@@ -211,6 +213,7 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
     checks: list[Check] = []
     nmax, bmax = 10_000, 5_000
     tables = arith.build_sieve(nmax)
+    divisors = arith.squarefree_divisor_table(tables)
     rng = random.Random(seed)
 
     worst_excess = -math.inf
@@ -220,7 +223,7 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
         col = n[:, None]
         # phi_restricted(i/den, j/den, n): the open interval's closed range
         got = arith.coprime_counts(i * col // den + 1, -(-j * col // den) - 1,
-                                   n, tables)
+                                   n, divisors)
         # |got - (j - i)/den * phi(n)| - 2^omega(n), scaled by den
         excess = (np.abs(got * den - (j - i) * tables.phi[col])
                   - (1 << tables.omega[col].astype(np.int64)) * den)
@@ -323,12 +326,13 @@ def verify_modular(seed: int = DEFAULT_SEED) -> list[Check]:
                    _mismatch_detail(cm, near)))
 
     pts = _random_upper_points(rng)
-    per = max(abs(modular.j_invariant(p + 1).value
-                  - modular.j_invariant(p).value) for p in pts)
-    inv = max(abs(modular.j_invariant(-1 / p).value
-                  - modular.j_invariant(p).value) for p in pts)
+    j_pts = [modular.j_invariant(p).value for p in pts]
+    per = max(abs(modular.j_invariant(p + 1).value - j)
+              for p, j in zip(pts, j_pts))
+    inv = max(abs(modular.j_invariant(-1 / p).value - j)
+              for p, j in zip(pts, j_pts))
     conj = max(abs(modular.j_invariant(complex(-p.real, p.imag)).value
-                   - modular.j_invariant(p).value.conjugate()) for p in pts)
+                   - j.conjugate()) for p, j in zip(pts, j_pts))
     checks.append(("periodicity j(tau+1) = j(tau) within 1e-8 on 100 points",
                    per < 1e-8, f"max {per:.3g}"))
     checks.append(("inversion j(-1/tau) = j(tau) within 1e-8 on 100 points",
@@ -397,24 +401,43 @@ def verify_geometry(quadruple_height: int = 20) -> list[Check]:
              _mismatch_detail(cols, tau_ok))]
 
 
+# the words' letters S, T and T^-1 as entries (a, b, c, d)
+_LETTERS = ((0, -1, 1, 0), (1, 1, 0, 1), (1, -1, 0, 1))
+
+
+def _random_tau_words(rng: random.Random, n_points: int
+                      ) -> Iterator[tuple[lattice.CanonicalTau,
+                                          lattice.UnimodularMatrix]]:
+    """n_points pairs (tau, g): tau in F with re = k / (2 den) and
+    im_sq = 1 - re^2 + u / v, and g a word of length <= 10 in S, T and
+    T^-1, both built in integers.
+
+    With Q = 4 den^2, tau is CanonicalTau.from_integers(k, 2 den,
+    (Q - k^2) v + Q u, Q v); g is composed as four ints, with one
+    UnimodularMatrix at the end.
+    """
+    for _ in range(n_points):
+        den = rng.randint(1, 12)
+        k = rng.randint(0, den)
+        u, v = rng.randint(0, 50), rng.randint(1, 10)
+        big_q = 4 * den * den
+        tau = lattice.CanonicalTau.from_integers(
+            k, 2 * den, (big_q - k * k) * v + big_q * u, big_q * v)
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(rng.randint(0, 10)):
+            w, x, y, z = rng.choice(_LETTERS)
+            a, b, c, d = (w * a + x * c, w * b + x * d,
+                          y * a + z * c, y * b + z * d)
+        yield tau, lattice.UnimodularMatrix(a, b, c, d)
+
+
 def verify_reduction_invariance(n_points: int = 1000,
                                 seed: int = DEFAULT_SEED) -> list[Check]:
     """Random exact tau in F, random word of length <= 10 in S and T:
     reduction recovers tau."""
-    rng = random.Random(seed)
-    S = lattice.UnimodularMatrix.inversion()
-    T = lattice.UnimodularMatrix.translation()
-    Tinv = lattice.UnimodularMatrix.translation(-1)
     ok = True
     bad = None
-    for _ in range(n_points):
-        den = rng.randint(1, 12)
-        re = Fraction(rng.randint(0, den), 2 * den)
-        im_sq = 1 - re * re + Fraction(rng.randint(0, 50), rng.randint(1, 10))
-        tau = lattice.CanonicalTau(re, im_sq)
-        g = lattice.UnimodularMatrix.identity()
-        for _ in range(rng.randint(0, 10)):
-            g = rng.choice((S, T, Tinv)) @ g
+    for tau, g in _random_tau_words(random.Random(seed), n_points):
         moved = lattice.modular_act(g, tau)
         back = lattice.canonical_tau(lattice.tau_gram(moved))
         if back != tau:

@@ -155,6 +155,14 @@ def test_criterion_5_euler_function_lemmas():
     assert checks[0][2] == "worst excess -0.115385"
 
 
+@pytest.mark.parametrize("seed, detail", [
+    (1, "worst excess -0.153846"),
+    (5, "worst excess -0.0952381"),
+])
+def test_euler_lemma_detail_is_pinned_at_more_seeds(seed, detail):
+    assert verify.verify_euler(seed)[0][1:] == (True, detail)
+
+
 def euler_draws(seed):
     """(n, den, lo, hi) per block of a verify_euler run, as it draws them."""
     rng = random.Random(seed)
@@ -229,7 +237,7 @@ def test_verify_suites_leave_numpy_random_unloaded():
 
 def test_euler_lemma_fails_on_zero_counts(monkeypatch):
     monkeypatch.setattr(arith, "coprime_counts",
-                        lambda lo, hi, n, tables: np.zeros_like(lo))
+                        lambda lo, hi, n, divisors: np.zeros_like(lo))
     name, ok, _ = verify.verify_euler()[0]
     assert name.startswith("|phi_ab(n)") and not ok
 
@@ -325,10 +333,56 @@ def test_criterion_8_reduction_invariance():
                   verify.verify_reduction_invariance(n_points=1000))
 
 
+def fraction_tau_words(seed, n_points):
+    """verify_reduction_invariance's draws as Fractions and matrix
+    products, from the rng calls in the same order."""
+    rng = random.Random(seed)
+    letters = (lattice.UnimodularMatrix.inversion(),
+               lattice.UnimodularMatrix.translation(),
+               lattice.UnimodularMatrix.translation(-1))
+    for _ in range(n_points):
+        den = rng.randint(1, 12)
+        re = Fraction(rng.randint(0, den), 2 * den)
+        im_sq = 1 - re * re + Fraction(rng.randint(0, 50),
+                                       rng.randint(1, 10))
+        g = lattice.UnimodularMatrix.identity()
+        for _ in range(rng.randint(0, 10)):
+            g = rng.choice(letters) @ g
+        yield lattice.CanonicalTau(re, im_sq), g
+    yield rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1, 5])
+def test_integer_tau_words_equal_the_fraction_draw(seed):
+    rng = random.Random(seed)
+    got = list(verify._random_tau_words(rng, 1000)) + [rng.getstate()]
+    want = list(fraction_tau_words(seed, 1000))
+    assert got == want
+    assert [tau._ints for tau, _ in got[:-1]] == \
+        [tau._ints for tau, _ in want[:-1]]
+
+
 def test_criterion_9_j_function():
     assert_checks("9. j special values, symmetries, boundary realness, arc "
                   "range/monotonicity, j-based classification",
                   verify.verify_modular())
+
+
+def test_modular_suite_evaluates_j_once_per_random_point(monkeypatch):
+    calls = 0
+    j_invariant = modular.j_invariant
+
+    def counted(tau):
+        nonlocal calls
+        calls += 1
+        return j_invariant(tau)
+
+    monkeypatch.setattr(modular, "j_invariant", counted)
+    verify.verify_modular()
+    # j(i), j(rho); per random point j(tau), j(tau + 1), j(-1/tau) and
+    # j(-conj tau); the 300 boundary samples and 5 interior controls; the
+    # 100 arc points
+    assert calls == 2 + 4 * 100 + 305 + 100
 
 
 def test_criterion_10_height_bounds():

@@ -8,6 +8,7 @@ import pytest
 from latsim import arith
 
 TABLES = arith.build_sieve(10_000)
+DIVISORS = arith.squarefree_divisor_table(TABLES)
 
 
 def phi_restricted_scan(alpha: Fraction, beta: Fraction, n: int) -> int:
@@ -236,6 +237,28 @@ class TestSquarefreeDivisors:
             assert len(divs) == len(want[n]) and set(divs) == want[n], n
 
 
+class TestSquarefreeDivisorTable:
+    def test_rows_equal_the_trial_division_divisors(self):
+        assert DIVISORS.bound == TABLES.bound
+        assert DIVISORS.start[0] == DIVISORS.start[1] == 0
+        assert DIVISORS.start[-1] == len(DIVISORS.e) == len(DIVISORS.mu)
+        for n in range(1, 10_001):
+            row = slice(DIVISORS.start[n], DIVISORS.start[n + 1])
+            e, mu = DIVISORS.e[row].tolist(), DIVISORS.mu[row].tolist()
+            divs = arith._squarefree_divisors(arith.distinct_primes(n))
+            assert len(e) == len(divs) and set(zip(e, mu)) == set(divs), n
+            assert e == sorted(e), n
+
+    def test_refuses_a_bound_beyond_the_cap(self, monkeypatch):
+        monkeypatch.setattr(arith, "MAX_DIVISOR_BOUND", TABLES.bound - 1)
+        with pytest.raises(ValueError):
+            arith.squarefree_divisor_table(TABLES)
+
+    def test_is_read_only(self):
+        with pytest.raises(ValueError):
+            DIVISORS.e[0] = 2
+
+
 class TestCoprimeCountRange:
     def test_examples(self):
         assert arith.coprime_count_range(1, 10, 1) == 10
@@ -258,7 +281,7 @@ class TestCoprimeCountRange:
 
 class TestCoprimeCounts:
     def check(self, lo, hi, n):
-        got = arith.coprime_counts(lo, hi, n, TABLES)
+        got = arith.coprime_counts(lo, hi, n, DIVISORS)
         assert got.dtype == np.int64 and got.shape == np.shape(lo)
         want = [[coprime_count_scan(a, b, m) for a, b in zip(row_lo, row_hi)]
                 for row_lo, row_hi, m in zip(lo, hi, n)]
@@ -277,6 +300,7 @@ class TestCoprimeCounts:
         lo = [[0, 5, -3], [7, 0, 1], [4, 0, 100], [1, 9973, 50]]
         self.check(lo, [[a - 1 for a in row] for row in lo], n)
         self.check([[-5, 0, 1]], [[5, 10, 100]], [1])
+        self.check([[], []], [[], []], [1, 2310])   # no columns
 
     def test_primes_near_the_bound(self):
         primes = [p for p in range(9900, 10_001) if TABLES.spf[p] == p]
@@ -292,20 +316,42 @@ class TestCoprimeCounts:
         hi = [[a + rng.randint(-1, 300) for a in row[:3]] + [m]
               for row, m in zip(lo, n)]
         self.check(lo, hi, n)
-        # mixed with omega 0..4 rows, which are padded to 32 columns
+        # mixed with omega 0..4 rows, which sum fewer terms
         mixed = n + [1, 2, 6, 30, 210]
         self.check([[1]] * len(mixed), [[m] for m in mixed], mixed)
 
+    def test_ends_of_the_asserted_range(self):
+        # every n with five primes, the most terms a row of DIVISORS sums
+        n = [m for m in range(1, 10_001) if TABLES.omega[m] == 5]
+        top = arith.COUNT_RANGE - 1
+        ends = [(-top, top), (1 - top, -top), (top, top), (top, top - 1),
+                (-top, -top), (1 - top, top - 7), (0, top), (-top, 0)]
+        got = arith.coprime_counts([[lo for lo, _ in ends]] * len(n),
+                                   [[hi for _, hi in ends]] * len(n), n,
+                                   DIVISORS)
+        assert got.tolist() == [
+            [arith.coprime_count_range(lo, hi, m) for lo, hi in ends]
+            for m in n]
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-arith.COUNT_RANGE, 0), (0, arith.COUNT_RANGE),
+        (-arith.COUNT_RANGE, -arith.COUNT_RANGE),
+        (arith.COUNT_RANGE, arith.COUNT_RANGE),
+    ])
+    def test_refuses_just_outside_the_range(self, lo, hi):
+        with pytest.raises(ValueError):
+            arith.coprime_counts([[lo]], [[hi]], [2310], DIVISORS)
+
     @pytest.mark.parametrize("lo, hi, n", [
-        ([[1]], [[5]], [TABLES.bound + 1]),   # beyond the sieve
+        ([[1]], [[5]], [TABLES.bound + 1]),   # beyond the table
         ([[1]], [[5]], [0]),
         ([[1, 5]], [[3, 3]], [7]),            # lo > hi + 1
-        ([[-2 ** 62]], [[5]], [7]),           # lo - 1 could wrap
+        ([[-2 ** 62]], [[5]], [7]),           # far outside the range
         ([1, 2], [3, 4], [7, 8]),             # 1-d ranges
     ])
     def test_refusals(self, lo, hi, n):
         with pytest.raises(ValueError):
-            arith.coprime_counts(lo, hi, n, TABLES)
+            arith.coprime_counts(lo, hi, n, DIVISORS)
 
 
 class TestRestrictedPowerSum:
