@@ -11,7 +11,8 @@ Provides:
   over the signed squarefree divisors of n: one range at a time, or a batch
   of ranges per n in int64 arrays with the divisors read off that table and
   every term of the batch counted in one exact float64 pass
-- Power sums S2(b) of the squares of the residues coprime to b in [1, b/2]
+- Power sums S2(b) of the squares of the residues coprime to b in [1, b/2],
+  by Mobius inversion with the divisors read off that table
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_POWER_SUM_B = 10 ** 6
 # Largest sieve bound, refused before any table is allocated: a sieve to
 # 10^7 peaks at about 360 MB, and no count or check needs a larger one.
 MAX_SIEVE_BOUND = 10 ** 7
@@ -281,28 +281,28 @@ def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
     return np.add.reduceat(terms, at, axis=0).astype(np.int64)
 
 
-def power_sum_tables(bmax: int) -> np.ndarray:
+def power_sum_tables(divisors: SquarefreeDivisors, bmax: int) -> np.ndarray:
     """Restricted power sums S2(b) = sum of a^2 over 1 <= a <= b/2 with
-    gcd(a, b) = 1, for b = 2..bmax.
+    gcd(a, b) = 1, for b = 2..bmax, with 2 <= bmax <= divisors.bound.
 
     Mobius inversion over e = gcd(a, b) gives
     S2(b) = sum over e | b of mu(e) e^2 F(floor(b / 2e)), with F(m) the sum
-    of t^2 over 1 <= t <= m; each squarefree e adds to all its multiples
-    b = k e in one slice, F taken at floor(k / 2): O(bmax log bmax).
-    Returns an int64 array indexed by b (indices 0, 1 unused). Every partial
-    sum is below (bmax^3 / 24)(1 + ln bmax) < 2^63 for the allowed
-    bmax <= 10^6.
+    of t^2 over 1 <= t <= m. Row b reads its signed divisors (e, mu(e)) off
+    the table, one int64 term per divisor, and one np.add.reduceat sums each
+    row's terms. Returns an int64 array indexed by b (indices 0, 1 unused).
+    With m = floor(b / 2e), F(m) <= m^3, so each term is at most
+    e^2 m^3 <= b^3 / 8e in size and a row's partial sums at most
+    (b^3 / 8)(1 + ln b) < 2^63 for b <= MAX_DIVISOR_BOUND = 10^6.
     """
-    if bmax < 2:
-        raise ValueError("bmax must be >= 2")
-    if bmax > MAX_POWER_SUM_B:
-        raise ValueError(f"int64 power sums are exact only for bmax <= "
-                         f"{MAX_POWER_SUM_B}")
-    mu = build_sieve(bmax).mu.tolist()
-    m = np.arange(bmax + 1, dtype=np.int64) // 2
-    f = m * (m + 1) * (2 * m + 1) // 6
+    if not 2 <= bmax <= divisors.bound:
+        raise ValueError(f"need 2 <= bmax <= divisor table bound "
+                         f"{divisors.bound}")
+    # rows b = 2..bmax of the table: row b's entries are at[b - 2]:at[b - 1]
+    first, stop = divisors.start[2], divisors.start[bmax + 1]
+    at = divisors.start[2:bmax + 2] - first
+    e = divisors.e[first:stop].astype(np.int64)
+    m = np.repeat(np.arange(2, bmax + 1), np.diff(at)) // (2 * e)
+    terms = divisors.mu[first:stop] * e * e * (m * (m + 1) * (2 * m + 1) // 6)
     s2 = np.zeros(bmax + 1, dtype=np.int64)
-    for e in range(1, bmax // 2 + 1):
-        if mu[e]:
-            s2[e::e] += mu[e] * e * e * f[1:bmax // e + 1]
+    s2[2:] = np.add.reduceat(terms, at[:-1])
     return s2

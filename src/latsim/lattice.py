@@ -3,9 +3,10 @@
 Half-plane points and Gram forms hold integers. A point with re = p/q and
 im_sq = r/s holds (p, q, r, s) in lowest terms; a form holds its primitive
 integer form (A, B, C) and the scale num/den, in lowest terms, that takes it
-to the rational form. Their Fraction entries (re, im_sq; g11, g12, g22) are
-read-only properties, each built on its first read and cached; equality and
-hash run on the integers. Bases (PlanarLattice) keep Fraction entries.
+to the rational form. Their Fraction entries are read-only properties: a
+point's re and im_sq are built on their first read and cached, a form's
+g11, g12 and g22 are built on each read; equality and hash run on the
+integers. Bases (PlanarLattice) keep Fraction entries.
 
 Every decision runs on integers. The GramForm constructor scales the form to
 its primitive integer form and Lagrange-reduces it, once per form.
@@ -144,11 +145,10 @@ class GramForm(_Exact):
     The form is num/den times the primitive integer form A x^2 + 2B xy +
     C y^2, held as _ints = (A, B, C, num, den) with num/den in lowest
     terms. Each constructor checks it and Lagrange-reduces (A, B, C), once.
-    The entries g11, g12, g22 are Fractions built on first read and kept in
-    slots that start as None.
+    The entries g11, g12, g22 are Fractions built anew on each read.
     """
 
-    __slots__ = ("_reduction", "_g11", "_g12", "_g22")
+    __slots__ = ("_reduction",)
 
     def __init__(self, g11, g12, g22):
         g11, g12, g22 = Fraction(g11), Fraction(g12), Fraction(g22)
@@ -189,30 +189,21 @@ class GramForm(_Exact):
              reduction: _Reduction) -> None:
         _SET_INTS(self, ints)
         _SET_REDUCTION(self, reduction)
-        _SET_G11(self, None)
-        _SET_G12(self, None)
-        _SET_G22(self, None)
 
     @property
     def g11(self) -> Fraction:
-        if self._g11 is None:
-            a, _, _, num, den = self._ints
-            _SET_G11(self, Fraction(a * num, den))
-        return self._g11
+        a, _, _, num, den = self._ints
+        return Fraction(a * num, den)
 
     @property
     def g12(self) -> Fraction:
-        if self._g12 is None:
-            _, b, _, num, den = self._ints
-            _SET_G12(self, Fraction(b * num, den))
-        return self._g12
+        _, b, _, num, den = self._ints
+        return Fraction(b * num, den)
 
     @property
     def g22(self) -> Fraction:
-        if self._g22 is None:
-            _, _, c, num, den = self._ints
-            _SET_G22(self, Fraction(c * num, den))
-        return self._g22
+        _, _, c, num, den = self._ints
+        return Fraction(c * num, den)
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}(g11={self.g11!r}, "
@@ -329,9 +320,6 @@ _new = object.__new__
 # the slots' own setters, which the constructors above write through
 _SET_INTS = _Exact._ints.__set__
 _SET_REDUCTION = GramForm._reduction.__set__
-_SET_G11 = GramForm._g11.__set__
-_SET_G12 = GramForm._g12.__set__
-_SET_G22 = GramForm._g22.__set__
 _SET_RE = HalfPlanePoint._re.__set__
 _SET_IM_SQ = HalfPlanePoint._im_sq.__set__
 

@@ -13,7 +13,8 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 arith.coprime_counts call, which reads each n's signed
                 squarefree divisors off one arith.squarefree_divisor_table
                 built per run) and the restricted power-sum constant
-                (b <= 5000)
+                (b <= 5000, arith.power_sum_tables reading the same table:
+                one sieve and one divisor table per run)
 - haar:         hyperbolic-volume quadrature against closed forms
 - modular:      j special values, j_columns against the exact integer j of
                 the 13 classes of class number one, symmetries on 100
@@ -197,15 +198,19 @@ def _euler_intervals(rng: random.Random,
             np.maximum(i, j).astype(np.int64))
 
 
-def _worst_power_sum_deviation(tables: arith.SieveTables, bmax: int) -> float:
+def _worst_power_sum_deviation(tables: arith.SieveTables,
+                               divisors: arith.SquarefreeDivisors,
+                               bmax: int) -> float:
     """max over b = 2..bmax of |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4),
-    as |24 S2 - phi b^2| / (6 2^omega b^2): both int64 sides stay below 2^53,
-    so each float quotient is the correctly rounded rational."""
-    s2 = arith.power_sum_tables(bmax)
+    as |24 S2 - phi b^2| / (6 2^omega b^2): with both int64 sides below
+    2^53, each float quotient is the correctly rounded rational. Raises
+    ArithmeticError if either side is not."""
+    s2 = arith.power_sum_tables(divisors, bmax)
     b_sq = np.arange(2, bmax + 1, dtype=np.int64) ** 2
     num = np.abs(24 * s2[2:] - tables.phi[2:bmax + 1] * b_sq)
     den = 6 * (1 << tables.omega[2:bmax + 1].astype(np.int64)) * b_sq
-    assert num.max() < 2 ** 53 and den.max() < 2 ** 53
+    if num.max() >= 2 ** 53 or den.max() >= 2 ** 53:
+        raise ArithmeticError("power-sum deviation sides reach 2^53")
     return float((num / den).max())
 
 
@@ -240,7 +245,7 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
                    lower_ok and upper_ok,
                    f"lower {lower_ok}, upper {upper_ok}"))
 
-    worst = _worst_power_sum_deviation(tables, bmax)
+    worst = _worst_power_sum_deviation(tables, divisors, bmax)
     checks.append((f"power-sum S2(b) error constant <= "
                    f"{POWER_SUM_CONSTANT:g}, b <= {bmax}",
                    worst <= POWER_SUM_CONSTANT,

@@ -244,7 +244,8 @@ def test_euler_lemma_fails_on_zero_counts(monkeypatch):
 
 def test_power_sum_deviation_equals_the_fraction_loop():
     tables = arith.build_sieve(10_000)
-    s2 = arith.power_sum_tables(5000)
+    divisors = arith.squarefree_divisor_table(tables)
+    s2 = arith.power_sum_tables(divisors, 5000)
     oracle = 0.0
     for b in range(2, 5001):
         phi_b = int(tables.phi[b])
@@ -252,7 +253,34 @@ def test_power_sum_deviation_equals_the_fraction_loop():
         main = Fraction(phi_b * b * b, 24)
         dev = abs(Fraction(int(s2[b])) - main) / Fraction(two_om * b * b, 4)
         oracle = max(oracle, float(dev))
-    assert verify._worst_power_sum_deviation(tables, 5000) == oracle
+    assert verify._worst_power_sum_deviation(tables, divisors, 5000) == oracle
+
+
+def test_power_sum_deviation_beyond_2_53_raises(monkeypatch):
+    tables = arith.build_sieve(100)
+    divisors = arith.squarefree_divisor_table(tables)
+
+    def oversized(divisors, bmax):
+        s2 = np.zeros(bmax + 1, dtype=np.int64)
+        s2[bmax] = 2 ** 53
+        return s2
+
+    monkeypatch.setattr(arith, "power_sum_tables", oversized)
+    with pytest.raises(ArithmeticError):
+        verify._worst_power_sum_deviation(tables, divisors, 100)
+
+
+def test_euler_builds_one_sieve(monkeypatch):
+    bounds = []
+    build_sieve = arith.build_sieve
+
+    def counted(bound):
+        bounds.append(bound)
+        return build_sieve(bound)
+
+    monkeypatch.setattr(arith, "build_sieve", counted)
+    verify.verify_euler()
+    assert bounds == [10_000]
 
 
 def test_criterion_6_haar_quadrature():

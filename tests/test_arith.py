@@ -27,6 +27,20 @@ def restricted_power_sum(b: int, j: int) -> int:
     return sum(a ** j for a in range(1, b // 2 + 1) if gcd(a, b) == 1)
 
 
+def power_sum_slice_loop(bmax: int) -> np.ndarray:
+    """The replaced power_sum_tables kernel, kept as its oracle: each
+    squarefree e <= bmax/2 adds mu(e) e^2 F(floor(k / 2)) to every multiple
+    b = k e in one slice, with mu from its own sieve."""
+    mu = arith.build_sieve(bmax).mu.tolist()
+    m = np.arange(bmax + 1, dtype=np.int64) // 2
+    f = m * (m + 1) * (2 * m + 1) // 6
+    s2 = np.zeros(bmax + 1, dtype=np.int64)
+    for e in range(1, bmax // 2 + 1):
+        if mu[e]:
+            s2[e::e] += mu[e] * e * e * f[1:bmax // e + 1]
+    return s2
+
+
 def linear_sieve(n: int) -> dict[str, np.ndarray]:
     """Reference tables from the linear (spf-driven) sieve, one i at a time."""
     spf = np.zeros(n + 1, dtype=np.int64)
@@ -361,19 +375,26 @@ class TestRestrictedPowerSum:
         assert restricted_power_sum(7, 0) == 3
 
     def test_matches_vectorized_tables(self):
-        s2 = arith.power_sum_tables(300)
+        s2 = arith.power_sum_tables(DIVISORS, 300)
+        assert s2.dtype == np.int64 and len(s2) == 301
         for b in range(2, 301):
             assert restricted_power_sum(b, 2) == int(s2[b])
 
     def test_sieve_tables_equal_direct_scan(self):
-        s2 = arith.power_sum_tables(5000)
+        s2 = arith.power_sum_tables(DIVISORS, 5000)
         rng = random.Random(23)
         for b in list(range(2, 301)) + rng.sample(range(301, 5001), 200):
             assert restricted_power_sum(b, 2) == int(s2[b])
 
-    def test_rejects_bmax_beyond_int64_range(self):
-        with pytest.raises(ValueError):
-            arith.power_sum_tables(arith.MAX_POWER_SUM_B + 1)
+    @pytest.mark.parametrize("bmax", [2, 3, 30, 10_000])
+    def test_table_read_equals_the_slice_loop(self, bmax):
+        assert np.array_equal(arith.power_sum_tables(DIVISORS, bmax),
+                              power_sum_slice_loop(bmax))
+
+    def test_rejects_bmax_outside_the_table(self):
+        for bmax in (DIVISORS.bound + 1, 1, 0):
+            with pytest.raises(ValueError):
+                arith.power_sum_tables(DIVISORS, bmax)
 
     def test_main_term_deviation_is_bounded(self):
         # |S_j(b) - phi(b) b^j / ((j+1) 2^(j+1))| / (2^omega(b) b^j / 2^j)

@@ -687,5 +687,9 @@ class TestIntegerRepresentation:
         assert back.re == Fraction(1, 3)
         assert built == [(1, 3)]
         assert back.im_sq == Fraction(10, 9) and len(built) == 2
-        # a read is cached
+        # a point's read is cached
         assert back.re == Fraction(1, 3) and len(built) == 2
+        # a form's is not: each read of g11 builds a new, equal Fraction
+        first, second = form.g11, form.g11
+        assert len(built) == 4 and first == second and first is not second
+        assert back.re == Fraction(1, 3) and len(built) == 4
