@@ -8,9 +8,9 @@ Provides:
 - A table of the signed squarefree divisors (e, mu(e)) of every n up to a
   bound, built once from the sieve's mu
 - Coprime counting on closed integer ranges via Mobius inclusion-exclusion
-  over the signed squarefree divisors of n: one range at a time, or a batch
-  of ranges per n in int64 arrays with the divisors read off that table and
-  every term of the batch counted in one exact float64 pass
+  over the signed squarefree divisors of n: one range at a time, or int64
+  arrays of ranges for a run of rows n = start, start + 1, ... with the
+  divisors read off that table, every term counted in one exact float64 pass
 - Power sums S2(b) of the squares of the residues coprime to b in [1, b/2],
   by Mobius inversion with the divisors read off that table
 """
@@ -229,14 +229,25 @@ def coprime_count_range(lo: int, hi: int, n: int) -> int:
     return total
 
 
-def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
-                   divisors: SquarefreeDivisors) -> np.ndarray:
-    """coprime_count_range(lo[r, c], hi[r, c], n[r]) for every entry, int64.
+def _table_rows(divisors: SquarefreeDivisors, first: int, last: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows n = first..last as (at, e, mu), row first + r at at[r]:at[r + 1]
+    of e and mu; refuses rows outside 1..divisors.bound."""
+    if first < 1 or last > divisors.bound:
+        raise ValueError(f"need rows 1..{divisors.bound} of the divisor table")
+    at = divisors.start[first:last + 2]
+    e, mu = divisors.e[at[0]:at[-1]], divisors.mu[at[0]:at[-1]]
+    return at - at[0], e, mu
 
-    lo and hi have shape (len(n), m), n is 1-d with 1 <= n <= divisors.bound,
-    and every |lo|, |hi| is below COUNT_RANGE = 2^45. Row r reads the
-    signed divisors (e, mu(e)) of n[r] off the table; one float64
-    divide-and-floor pass gives every (row, divisor) term
+
+def coprime_counts(lo: np.ndarray, hi: np.ndarray, start: int,
+                   divisors: SquarefreeDivisors) -> np.ndarray:
+    """coprime_count_range(lo[r, c], hi[r, c], start + r) per entry, int64.
+
+    lo and hi have shape (rows, m) for the run of rows n = start, ...,
+    start + rows - 1 (1 <= n <= divisors.bound), with every |lo|, |hi| below
+    COUNT_RANGE = 2^45. Each row reads its signed divisors (e, mu(e)) off
+    the table; one in-place float64 divide-and-floor pass gives every term
     mu(e) (floor(hi / e) - floor((lo - 1) / e)) of the call, and one
     np.add.reduceat sums each row's terms.
 
@@ -250,35 +261,24 @@ def coprime_counts(lo: np.ndarray, hi: np.ndarray, n: np.ndarray,
     in any order, is an integer below 2^53, and each float addition is
     exact too.
     """
-    lo, hi, n = (np.asarray(a, dtype=np.int64) for a in (lo, hi, n))
-    if n.ndim != 1 or lo.ndim != 2 or hi.shape != lo.shape \
-            or len(lo) != len(n):
-        raise ValueError("need 1-d n and lo, hi of shape (len(n), m)")
-    if n.size and (n.min() < 1 or n.max() > divisors.bound):
-        raise ValueError(f"need 1 <= n <= divisor table bound "
-                         f"{divisors.bound}")
+    lo, hi = (np.asarray(a, dtype=np.int64) for a in (lo, hi))
+    if lo.ndim != 2 or hi.shape != lo.shape:
+        raise ValueError("need lo, hi of one shape (rows, m)")
+    at, e, mu = _table_rows(divisors, start, start + len(lo) - 1)
     if lo.size and not (-COUNT_RANGE < min(lo.min(), hi.min())
                         and max(lo.max(), hi.max()) < COUNT_RANGE):
         raise ValueError("need |lo|, |hi| < 2^45")
     if (lo > hi + 1).any():
         raise ValueError("need lo <= hi + 1")
-    # term t is divisor k[t] of row rows[t]; row r's terms start at at[r]
-    first = divisors.start[n]
-    size = divisors.start[n + 1] - first
-    rows = np.repeat(np.arange(len(n)), size)
-    at = np.cumsum(size) - size
-    k = np.arange(len(rows)) + np.repeat(first - at, size)
-    # rows r of x are hi, rows len(n) + r are lo - 1; a term with
-    # mu(e) = -1 reads the two the other way round, so that q[t] - q[K + t]
-    # is mu(e) times the count of multiples of e in [lo, hi]
-    K = len(k)
-    x = np.vstack([hi, lo - 1]).astype(np.float64)
-    neg = (divisors.mu[k] < 0) * len(n)
-    q = x[np.concatenate([rows + neg, rows + len(n) - neg])]
-    q /= np.tile(divisors.e[k].astype(np.float64), 2)[:, None]
-    np.floor(q, out=q)
-    terms = np.subtract(q[:K], q[K:], out=q[:K])
-    return np.add.reduceat(terms, at, axis=0).astype(np.int64)
+    # term t is divisor e[t] of row rows[t]
+    rows = np.repeat(np.arange(len(lo)), np.diff(at))
+    terms, below = (x.astype(np.float64)[rows] for x in (hi, lo - 1))
+    terms /= e[:, None]
+    below /= e[:, None]
+    np.floor(terms, out=terms)
+    terms -= np.floor(below, out=below)
+    terms *= mu[:, None]
+    return np.add.reduceat(terms, at[:-1], axis=0).astype(np.int64)
 
 
 def power_sum_tables(divisors: SquarefreeDivisors, bmax: int) -> np.ndarray:
@@ -294,15 +294,13 @@ def power_sum_tables(divisors: SquarefreeDivisors, bmax: int) -> np.ndarray:
     e^2 m^3 <= b^3 / 8e in size and a row's partial sums at most
     (b^3 / 8)(1 + ln b) < 2^63 for b <= MAX_DIVISOR_BOUND = 10^6.
     """
-    if not 2 <= bmax <= divisors.bound:
-        raise ValueError(f"need 2 <= bmax <= divisor table bound "
-                         f"{divisors.bound}")
-    # rows b = 2..bmax of the table: row b's entries are at[b - 2]:at[b - 1]
-    first, stop = divisors.start[2], divisors.start[bmax + 1]
-    at = divisors.start[2:bmax + 2] - first
-    e = divisors.e[first:stop].astype(np.int64)
+    if bmax < 2:
+        raise ValueError("need bmax >= 2")
+    # rows b = 2..bmax: row b's entries are at[b - 2]:at[b - 1]
+    at, e, mu = _table_rows(divisors, 2, bmax)
+    e = e.astype(np.int64)
     m = np.repeat(np.arange(2, bmax + 1), np.diff(at)) // (2 * e)
-    terms = divisors.mu[first:stop] * e * e * (m * (m + 1) * (2 * m + 1) // 6)
+    terms = mu * e * e * (m * (m + 1) * (2 * m + 1) // 6)
     s2 = np.zeros(bmax + 1, dtype=np.int64)
     s2[2:] = np.add.reduceat(terms, at[:-1])
     return s2

@@ -187,13 +187,23 @@ def count_fast(set_id: ClassSetId, T: int) -> int:
     if set_id is not ClassSetId.WELL_ROUNDED and T > MAX_FAST_HEIGHT:
         raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
     tables = build_sieve(T)
-    phi_sum = int(tables.phi_prefix[T])
     if set_id is ClassSetId.WELL_ROUNDED:
-        return phi_sum // 2 + 1
+        return int(tables.phi_prefix[T]) // 2 + 1
+    row = _count_row(T, tables)
+    return row.n2 if set_id is ClassSetId.SEMISTABLE else row.n1
+
+
+def _count_row(T: int, tables: SieveTables) -> CountReport:
+    """The CountReport at T, from a sieve reaching T. N3 comes from the
+    totients, not from the kernel's pair count P: verify compares the two."""
+    phi_sum = int(tables.phi_prefix[T])
     pairs, v = _farey_count(T, tables)
-    if set_id is ClassSetId.SEMISTABLE:
-        return pairs + v
-    return pairs * phi_sum + v
+    n1, n2, n3 = pairs * phi_sum + v, pairs + v, phi_sum // 2 + 1
+    m1, m2, m3 = main_terms(T)
+    return CountReport(
+        T=T, n1=n1, n2=n2, n3=n3, phi=phi_sum, v=v, main1=m1, main2=m2,
+        main3=m3, rel_dev1=abs(n1 / m1 - 1), rel_dev2=abs(n2 / m2 - 1),
+        rel_dev3=abs(n3 / m3 - 1))
 
 
 def _farey_count(T: int, tables: SieveTables) -> tuple[int, int]:
@@ -210,7 +220,8 @@ def _farey_count(T: int, tables: SieveTables) -> tuple[int, int]:
     their number, Phi(isqrt(T)) // 2, is added back.
     """
     if not 1 <= T <= MAX_FAST_HEIGHT:
-        raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
+        raise ValueError(f"_farey_count is exact only for 1 <= T <= "
+                         f"{MAX_FAST_HEIGHT}")
     a, b = _coprime_pairs(T, tables)
     pairs = a.size
     queries = int(np.count_nonzero(a <= b >> 2)) - 1  # all but (0, 1)
@@ -256,21 +267,10 @@ def census_report(Ts: Sequence[int]) -> list[CountReport]:
     if min(Ts) < 1:
         raise ValueError("T must be >= 1")
     if max(Ts) > MAX_FAST_HEIGHT:
-        raise ValueError(f"count_fast is exact only for T <= {MAX_FAST_HEIGHT}")
+        raise ValueError(f"census_report is exact only for T <= "
+                         f"{MAX_FAST_HEIGHT}")
     tables = build_sieve(max(Ts))
-    reports = []
-    for T in Ts:
-        # n3 from the totients, not from the kernel's pair count: verify's
-        # N1 - N2 = N3 (Phi(T) - 1) check compares the two
-        phi_sum = int(tables.phi_prefix[T])
-        pairs, v = _farey_count(T, tables)
-        n1, n2, n3 = pairs * phi_sum + v, pairs + v, phi_sum // 2 + 1
-        m1, m2, m3 = main_terms(T)
-        reports.append(CountReport(
-            T=T, n1=n1, n2=n2, n3=n3, phi=phi_sum, v=v, main1=m1, main2=m2,
-            main3=m3, rel_dev1=abs(n1 / m1 - 1), rel_dev2=abs(n2 / m2 - 1),
-            rel_dev3=abs(n3 / m3 - 1)))
-    return reports
+    return [_count_row(T, tables) for T in Ts]
 
 
 CSV_HEADER = ["T", "n1", "n2", "n3", "main1", "main2", "main3",

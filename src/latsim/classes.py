@@ -57,14 +57,15 @@ class TauQuadruple:
             raise RangeError(f"2a > b in ({a},{b},{c},{d})")
         if gcd(a, b) != 1 or gcd(c, d) != 1:
             raise CoprimalityError(f"non-coprime entries in ({a},{b},{c},{d})")
-        if c * b * b < d * (b * b - a * a):
+        big_a, _, big_c = lattice.tau_gram_entries(a, b, c, d)
+        if big_c < big_a:
             raise DomainError(f"c/d < 1 - a^2/b^2 for ({a},{b},{c},{d})")
 
     @property
     def tau(self) -> CanonicalTau:
-        # __post_init__ checks what CanonicalTau checks (0 <= 2a <= b,
-        # c >= 1, and C >= A as c b^2 >= d (b^2 - a^2)), and the gcds: the
-        # entries are the point's lowest terms
+        # __post_init__ checks what CanonicalTau._check checks (0 <= 2a <= b,
+        # c >= 1, and C' >= A by the same tau_gram_entries test), and the
+        # gcds: the entries are the point's lowest terms
         return CanonicalTau._of_lowest_terms((self.a, self.b, self.c, self.d))
 
 

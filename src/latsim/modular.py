@@ -19,9 +19,9 @@ first order in the unit roundoff.
 Normalization j(i) = 1728; j_normalized = j / 1728 maps the well-rounded arc
 |tau| = 1 onto [0, 1].
 
-Class points are evaluated as given: classify_by_j and j_columns take
-points in the strip |Re tau| <= 1/2, MIN_IM <= Im tau <= MAX_IM, where
-|q| <= Q_MAX without reduction, and refuse any other (_in_strip); every
+One strip test, _in_strip (|Re tau| <= 1/2, MIN_IM <= Im tau <= MAX_IM,
+where |q| <= Q_MAX), refuses j_invariant's reduced points above MAX_IM,
+and classify_by_j's and j_columns' points, taken as given, outside it; every
 class point lies there (Im tau >= sqrt(3)/2). classify_by_j computes only
 the value of j. j_columns applies the scalar series, bound (with no drift
 term) and verdict to whole arrays; numpy's complex products and quotients
@@ -174,14 +174,23 @@ def _error_bound(e4, delta, value, im, drift):
             + 2 * math.pi * e4_max ** 2 * E6_BOUND / abs_delta * shift)
 
 
+_STRIP = f"|Re tau| <= 1/2 and {MIN_IM:.5f} <= Im tau <= {MAX_IM:g}"
+
+
+def _in_strip(tau):
+    """True where tau lies in the strip _STRIP (not at NaN); for a complex
+    or for a complex column."""
+    return (abs(tau.real) <= 0.5) & (tau.imag >= MIN_IM) & (tau.imag <= MAX_IM)
+
+
 def j_invariant(tau: complex) -> JValue:
     """Evaluate j(tau) with a bound on its error (module docstring).
 
-    Rejects Im tau <= 0 and points whose reduced representative has
-    Im tau > 100 (q^-1 would overflow).
+    Rejects Im tau <= 0 and a reduced point outside the strip
+    (_in_strip): one with Im tau > MAX_IM, where q^-1 would overflow.
     """
     tau, drift = reduce_to_fundamental_domain(complex(tau))
-    if tau.imag > MAX_IM:
+    if not _in_strip(tau):
         raise ValueError(f"Im tau = {tau.imag:g} too large after reduction "
                          f"(limit {MAX_IM:g})")
     e4, delta, value = _j_series(_nome(tau))
@@ -200,15 +209,6 @@ def _nome_columns(tau: np.ndarray) -> np.ndarray:
     q.real = radius * np.cos(math.pi * f)
     q.imag = radius * np.sin(math.pi * f)
     return q
-
-
-_STRIP = f"|Re tau| <= 1/2 and {MIN_IM:.5f} <= Im tau <= {MAX_IM:g}"
-
-
-def _in_strip(tau):
-    """True where tau lies in the strip _STRIP (not at NaN); for a complex
-    or for a complex column."""
-    return (abs(tau.real) <= 0.5) & (tau.imag >= MIN_IM) & (tau.imag <= MAX_IM)
 
 
 def j_columns(tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

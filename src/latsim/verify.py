@@ -10,7 +10,7 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 uniform den in [2, 64], then a uniform pair 0 <= lo < hi <=
                 den; the intervals of 256 n at a time drawn from one block
                 of the seeded stream's bytes and counted in one
-                arith.coprime_counts call, which reads each n's signed
+                arith.coprime_counts call per run of n, reading each n's signed
                 squarefree divisors off one arith.squarefree_divisor_table
                 built per run) and the restricted power-sum constant
                 (b <= 5000, arith.power_sum_tables reading the same table:
@@ -228,7 +228,7 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
         col = n[:, None]
         # phi_restricted(i/den, j/den, n): the open interval's closed range
         got = arith.coprime_counts(i * col // den + 1, -(-j * col // den) - 1,
-                                   n, divisors)
+                                   start, divisors)
         # |got - (j - i)/den * phi(n)| - 2^omega(n), scaled by den
         excess = (np.abs(got * den - (j - i) * tables.phi[col])
                   - (1 << tables.omega[col].astype(np.int64)) * den)

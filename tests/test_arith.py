@@ -294,45 +294,56 @@ class TestCoprimeCountRange:
 
 
 class TestCoprimeCounts:
-    def check(self, lo, hi, n):
-        got = arith.coprime_counts(lo, hi, n, DIVISORS)
+    def check(self, lo, hi, start):
+        # row r of lo, hi is the row n = start + r of the run
+        got = arith.coprime_counts(lo, hi, start, DIVISORS)
         assert got.dtype == np.int64 and got.shape == np.shape(lo)
-        want = [[coprime_count_scan(a, b, m) for a, b in zip(row_lo, row_hi)]
-                for row_lo, row_hi, m in zip(lo, hi, n)]
+        want = [[coprime_count_scan(a, b, n) for a, b in zip(row_lo, row_hi)]
+                for n, row_lo, row_hi in zip(range(start, start + len(lo)),
+                                             lo, hi)]
         assert got.tolist() == want
 
     def test_equals_scan_random(self):
         rng = random.Random(19)
         for _ in range(20):
-            n = [rng.randint(1, 10_000) for _ in range(rng.randint(1, 40))]
-            lo = [[rng.randint(-50, m) for _ in range(5)] for m in n]
+            rows = rng.randint(1, 40)
+            start = rng.randint(1, 10_001 - rows)
+            lo = [[rng.randint(-50, n) for _ in range(5)]
+                  for n in range(start, start + rows)]
             hi = [[a + rng.randint(-1, 200) for a in row] for row in lo]
-            self.check(lo, hi, n)
+            self.check(lo, hi, start)
 
     def test_empty_ranges_and_n_1(self):
-        n = [1, 1, 2310, 9973]
         lo = [[0, 5, -3], [7, 0, 1], [4, 0, 100], [1, 9973, 50]]
-        self.check(lo, [[a - 1 for a in row] for row in lo], n)
-        self.check([[-5, 0, 1]], [[5, 10, 100]], [1])
-        self.check([[], []], [[], []], [1, 2310])   # no columns
+        empty = [[a - 1 for a in row] for row in lo]
+        # runs from n = 1, through 2310 and up to the prime 9973
+        for start in (1, 2308, 9970):
+            self.check(lo, empty, start)
+        self.check([[-5, 0, 1]], [[5, 10, 100]], 1)
+        self.check([[], []], [[], []], 1)         # no columns
+        self.check([[]] * 3, [[]] * 3, 2309)
 
     def test_primes_near_the_bound(self):
         primes = [p for p in range(9900, 10_001) if TABLES.spf[p] == p]
-        lo = [[0, 1, p - 3, p // 2] for p in primes]
-        hi = [[p, p - 1, p + 3, p + 20] for p in primes]
-        self.check(lo, hi, primes)
+        for p in primes:
+            self.check([[0, 1, p - 3, p // 2]], [[p, p - 1, p + 3, p + 20]], p)
+        # the whole run 9900..10000, primes and composites
+        lo = [[n - 3, n // 2] for n in range(9900, 10_001)]
+        self.check(lo, [[a + 6, a + 20] for a, _ in lo], 9900)
 
     def test_every_n_with_five_primes(self):
         n = [m for m in range(1, 10_001) if TABLES.omega[m] == 5]
         assert n[:2] == [2310, 2730] and len(n) == 33
         rng = random.Random(23)
-        lo = [[rng.randint(0, m) for _ in range(3)] + [0] for m in n]
-        hi = [[a + rng.randint(-1, 300) for a in row[:3]] + [m]
-              for row, m in zip(lo, n)]
-        self.check(lo, hi, n)
-        # mixed with omega 0..4 rows, which sum fewer terms
-        mixed = n + [1, 2, 6, 30, 210]
-        self.check([[1]] * len(mixed), [[m] for m in mixed], mixed)
+        for m in n:
+            lo = [rng.randint(0, m) for _ in range(3)] + [0]
+            hi = [a + rng.randint(-1, 300) for a in lo[:3]] + [m]
+            self.check([lo], [hi], m)
+        # omega 0..4 rows, which sum fewer terms, alone and in a run
+        # with 2310 (omega 5)
+        for m in (1, 2, 6, 30, 210):
+            self.check([[1]], [[m]], m)
+        self.check([[1]] * 21, [[m] for m in range(2300, 2321)], 2300)
 
     def test_ends_of_the_asserted_range(self):
         # every n with five primes, the most terms a row of DIVISORS sums
@@ -340,12 +351,14 @@ class TestCoprimeCounts:
         top = arith.COUNT_RANGE - 1
         ends = [(-top, top), (1 - top, -top), (top, top), (top, top - 1),
                 (-top, -top), (1 - top, top - 7), (0, top), (-top, 0)]
-        got = arith.coprime_counts([[lo for lo, _ in ends]] * len(n),
-                                   [[hi for _, hi in ends]] * len(n), n,
-                                   DIVISORS)
+        lo, hi = [[x for x, _ in ends]], [[y for _, y in ends]]
+        for m in n:
+            assert arith.coprime_counts(lo, hi, m, DIVISORS).tolist() == [
+                [arith.coprime_count_range(x, y, m) for x, y in ends]]
+        got = arith.coprime_counts(lo * 11, hi * 11, 2305, DIVISORS)
         assert got.tolist() == [
-            [arith.coprime_count_range(lo, hi, m) for lo, hi in ends]
-            for m in n]
+            [arith.coprime_count_range(x, y, m) for x, y in ends]
+            for m in range(2305, 2316)]
 
     @pytest.mark.parametrize("lo, hi", [
         (-arith.COUNT_RANGE, 0), (0, arith.COUNT_RANGE),
@@ -354,18 +367,21 @@ class TestCoprimeCounts:
     ])
     def test_refuses_just_outside_the_range(self, lo, hi):
         with pytest.raises(ValueError):
-            arith.coprime_counts([[lo]], [[hi]], [2310], DIVISORS)
+            arith.coprime_counts([[lo]], [[hi]], 2310, DIVISORS)
 
+    # n lists the rows of the run, which the call names by its first
     @pytest.mark.parametrize("lo, hi, n", [
-        ([[1]], [[5]], [TABLES.bound + 1]),   # beyond the table
+        ([[1]] * 3, [[5]] * 3, [TABLES.bound - 1, TABLES.bound,
+                                TABLES.bound + 1]),   # past the table
         ([[1]], [[5]], [0]),
-        ([[1, 5]], [[3, 3]], [7]),            # lo > hi + 1
-        ([[-2 ** 62]], [[5]], [7]),           # far outside the range
-        ([1, 2], [3, 4], [7, 8]),             # 1-d ranges
+        ([[1, 5]], [[3, 3]], [7]),                    # lo > hi + 1
+        ([[-2 ** 62]], [[5]], [7]),                   # far outside the range
+        ([1, 2], [3, 4], [7, 8]),                     # 1-d ranges
+        ([[1, 2]], [[3]], [7]),                       # shapes differ
     ])
     def test_refusals(self, lo, hi, n):
         with pytest.raises(ValueError):
-            arith.coprime_counts(lo, hi, n, DIVISORS)
+            arith.coprime_counts(lo, hi, n[0], DIVISORS)
 
 
 class TestRestrictedPowerSum:

@@ -346,6 +346,23 @@ class TestCounters:
         with pytest.raises(ValueError, match="exact only"):
             census.census_report([census.MAX_FAST_HEIGHT + 1])
 
+    def test_refusals_name_the_refusing_function(self):
+        big, tables = census.MAX_FAST_HEIGHT + 1, arith.build_sieve(10)
+        cases = [
+            (lambda: census.count_fast(ClassSetId.ALL, big), "count_fast"),
+            (lambda: census.census_report([big]), "census_report"),
+        ]
+        for call, name in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == (f"{name} is exact only for T <= "
+                                      f"{census.MAX_FAST_HEIGHT}")
+        for T in (0, big):
+            with pytest.raises(ValueError) as err:
+                census._farey_count(T, tables)
+            assert str(err.value) == ("_farey_count is exact only for "
+                                      f"1 <= T <= {census.MAX_FAST_HEIGHT}")
+
     def test_sieve_bound_enforced(self):
         for set_id in ClassSetId:
             with pytest.raises(ValueError, match="T must be >= 1"):

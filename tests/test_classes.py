@@ -40,6 +40,39 @@ class TestValidation:
         with pytest.raises(CoprimalityError):
             TauQuadruple(0, 2, 1, 1)
 
+    def test_domain_test_equals_the_cross_multiplied_inequality(self):
+        # the inequality TauQuadruple tested before it read
+        # lattice.tau_gram_entries, kept as the oracle
+        pairs = [(a, b) for b in range(1, 13) for a in range(b // 2 + 1)
+                 if math.gcd(a, b) == 1]
+        refused = accepted = 0
+        for a, b in pairs:
+            for d in range(1, 31):
+                for c in range(1, 31):
+                    if math.gcd(c, d) != 1:
+                        continue
+                    outside = c * b ** 2 < d * (b ** 2 - a ** 2)
+                    try:
+                        TauQuadruple(a, b, c, d)
+                    except DomainError:
+                        assert outside, (a, b, c, d)
+                        refused += 1
+                    else:
+                        assert not outside, (a, b, c, d)
+                        accepted += 1
+        assert refused > 1000 and accepted > 1000
+
+    @pytest.mark.parametrize("q", [(1, 2, 3, 4), (0, 1, 1, 1), (1, 3, 8, 9)])
+    def test_unit_circle_is_accepted(self, q):
+        # |tau| = 1 exactly: c b^2 = d (b^2 - a^2)
+        point = TauQuadruple(*q).tau
+        assert point.re ** 2 + point.im_sq == 1
+
+    def test_just_inside_the_unit_circle_is_refused(self):
+        # 1/9 + 7/9 < 1
+        with pytest.raises(DomainError, match=r"c/d < 1 - a\^2/b\^2"):
+            TauQuadruple(1, 3, 7, 9)
+
     def test_tau_lies_in_fundamental_domain(self):
         # boundary case: equality c*b^2 = d*(b^2 - a^2), |tau| = 1
         q = TauQuadruple(1, 2, 3, 4)

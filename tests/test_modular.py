@@ -82,8 +82,12 @@ class TestJInvariant:
             modular.j_invariant(0.5 + 0j)
 
     def test_rejects_overflow_region(self):
-        with pytest.raises(ValueError):
-            modular.j_invariant(0.1 + 150j)
+        # the strip test refuses what Im tau > MAX_IM refused: every
+        # reduced point has |Re tau| <= 1/2 and Im tau >= sqrt(3)/2
+        assert modular.j_invariant(1j * modular.MAX_IM).value.real > 0
+        for tau in (complex(0.1, 100.00000000000001), 0.1 + 150j):
+            with pytest.raises(ValueError, match="too large after reduction"):
+                modular.j_invariant(tau)
 
     def test_fixed_expansion_equals_30_terms_bit_for_bit(self):
         # the evidence for J_TERMS: more terms change no double
