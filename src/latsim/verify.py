@@ -9,10 +9,12 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
 - euler:        totient/divisor lemmas (n <= 10^4; 20 intervals per n: a
                 uniform den in [2, 64], then a uniform pair 0 <= lo < hi <=
                 den; the intervals of 256 n at a time drawn from one block
-                of the seeded stream's bytes and counted in one
-                arith.coprime_counts call per run of n, reading each n's signed
-                squarefree divisors off one arith.squarefree_divisor_table
-                built per run) and the restricted power-sum constant
+                of the seeded stream's bytes, one 64-bit word per interval
+                read without division, their integer ranges taken in one
+                float64 floor pass and counted in one arith.coprime_counts
+                call per run of n, reading each n's signed squarefree
+                divisors off one arith.squarefree_divisor_table built per
+                run) and the restricted power-sum constant
                 (b <= 5000, arith.power_sum_tables reading the same table:
                 one sieve and one divisor table per run)
 - haar:         hyperbolic-volume quadrature against closed forms
@@ -58,8 +60,8 @@ DEFAULT_SEED = 20260823
 # verify_euler's bound on |S2(b) - phi(b) b^2/24| / (2^omega(b) b^2/4)
 POWER_SUM_CONSTANT = 4.0
 # verify_euler draws and counts the intervals of this many n at a time; its
-# process then peaks at about 34 MB (ru_maxrss), against 37 MB with 1,000 n
-# per block and 71 MB with one block over all n
+# process then peaks at about 33.6 MB (ru_maxrss), against 34.2 MB with 512 n
+# per block, 36.4 MB with 1,000 and 66.5 MB with one block over all n
 EULER_BLOCK = 256
 # upper end of Im tau for verify_modular's random points
 RANDOM_IM_HI = 2.0
@@ -183,19 +185,50 @@ def _euler_intervals(rng: random.Random,
     shape (rows, 20): den uniform in [2, 64], then lo < hi a uniform pair of
     [0, den].
 
-    Each interval reads three little-endian 64-bit words of rng.randbytes
-    and takes each modulo its range: den, then i in [0, den], then j among
-    the den values other than i. A word modulo m <= 65 is uniform to within
-    m / 2^64 < 2^-57.
+    Each interval reads one little-endian 64-bit word of
+    rng.randbytes(160 * rows). Its top 53 bits v give the fraction v / 2^53
+    in [0, 1), read digit by digit without division: 63 v =
+    (den - 2) 2^53 + r gives den, and the top 42 bits s of r give the pair's
+    index p = floor(s N / 2^42) among the N = den (den + 1) / 2 pairs,
+    listed by hi, then lo: p = hi (hi - 1) / 2 + lo. Every product stays
+    below 2^59.
+
+    Bias: one (den, p) is drawn when s lies in [a, b), with
+    a = ceil(p 2^42 / N), b = ceil((p + 1) 2^42 / N), so b - a is within 1 of
+    2^42 / N. That is when 63 v lies in [(den - 2) 2^53 + a 2^11,
+    (den - 2) 2^53 + b 2^11), a range of (b - a) 2^11 / 63 values of v, to
+    within one. Over the 2^53 equally likely v the interval's probability
+    is within 2^-42 / 63 + 2^-53 < 2^-47 of the exact 1 / (63 N), and each
+    den's within 2^-53 of 1/63: the bias is below 2^-40.
     """
-    w_den, w_i, w_j = np.frombuffer(rng.randbytes(480 * rows),
-                                    dtype="<u8").reshape(3, rows, 20)
-    den = w_den % 63 + 2
-    i = w_i % (den + 1)
-    j = w_j % den
-    j += j >= i
-    return (den.astype(np.int64), np.minimum(i, j).astype(np.int64),
-            np.maximum(i, j).astype(np.int64))
+    v = np.frombuffer(rng.randbytes(160 * rows), dtype="<u8").reshape(rows, 20)
+    x = (v >> 11).view(np.int64) * 63
+    den = (x >> 53) + 2
+    p = (x & ((1 << 53) - 1)) >> 11
+    p *= den * (den + 1) >> 1
+    p >>= 42
+    # hi = floor((1 + sqrt(8 p + 1)) / 2): sqrt is correctly rounded, so the
+    # floor of sqrt(m) is exact for every integer m < 2^52
+    hi = (np.sqrt(8 * p + 1).astype(np.int64) + 1) >> 1
+    return den, p - (hi * (hi - 1) >> 1), hi
+
+
+def _integer_ranges(n: np.ndarray, den: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends floor(i n / den) + 1 and ceil(j n / den) - 1 of the integers
+    in the open interval (i n / den, j n / den), as float64 arrays from one
+    floor pass.
+
+    Exact as in arith.coprime_counts while |i n|, |j n| < 2^53: each product
+    is an exact double, and floor and ceil of its rounded quotient by den
+    equal those of the rational. verify_euler's products are at most
+    64 * 10^4.
+    """
+    lo = np.floor(i * n / den)
+    lo += 1
+    hi = np.ceil(j * n / den)
+    hi -= 1
+    return lo, hi
 
 
 def _worst_power_sum_deviation(tables: arith.SieveTables,
@@ -226,9 +259,9 @@ def verify_euler(seed: int = DEFAULT_SEED) -> list[Check]:
         n = np.arange(start, min(start + EULER_BLOCK, nmax + 1))
         den, i, j = _euler_intervals(rng, len(n))
         col = n[:, None]
-        # phi_restricted(i/den, j/den, n): the open interval's closed range
-        got = arith.coprime_counts(i * col // den + 1, -(-j * col // den) - 1,
-                                   start, divisors)
+        # phi_restricted(i/den, j/den, n) counts the interval's integers
+        got = arith.coprime_counts(*_integer_ranges(col, den, i, j), start,
+                                   divisors)
         # |got - (j - i)/den * phi(n)| - 2^omega(n), scaled by den
         excess = (np.abs(got * den - (j - i) * tables.phi[col])
                   - (1 << tables.omega[col].astype(np.int64)) * den)

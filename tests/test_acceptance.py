@@ -152,12 +152,12 @@ def test_criterion_5_euler_function_lemmas():
     assert_checks("5. restricted-totient bounds, divisor bounds, "
                   "power-sum constant <= 4", checks)
     # the sampled (n, alpha, beta) triples are pinned by the seed
-    assert checks[0][2] == "worst excess -0.115385"
+    assert checks[0][2] == "worst excess -0.125"
 
 
 @pytest.mark.parametrize("seed, detail", [
     (1, "worst excess -0.153846"),
-    (5, "worst excess -0.0952381"),
+    (5, "worst excess -0.0833333"),
 ])
 def test_euler_lemma_detail_is_pinned_at_more_seeds(seed, detail):
     assert verify.verify_euler(seed)[0][1:] == (True, detail)
@@ -194,6 +194,53 @@ def test_euler_draws_are_pinned_by_the_seed():
     for x, y in zip(first, second):
         assert x.dtype == y.dtype == np.int64
         assert np.array_equal(x, y)
+    den, lo, hi = (x[0].tolist() for x in first)
+    assert den == [61, 26, 5, 53, 7, 38, 59, 15, 7, 28,
+                   17, 36, 5, 37, 61, 41, 38, 5, 38, 5]
+    assert lo == [27, 6, 0, 24, 5, 2, 23, 8, 1, 4,
+                  3, 11, 0, 3, 28, 33, 12, 3, 28, 0]
+    assert hi == [52, 25, 1, 46, 7, 33, 33, 11, 5, 17,
+                  7, 31, 5, 30, 51, 35, 33, 5, 36, 2]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 256, 300])
+def test_euler_draws_read_one_word_per_interval(rows):
+    rng, twin = random.Random(7), random.Random(7)
+    verify._euler_intervals(rng, rows)
+    twin.randbytes(160 * rows)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_euler_draws_spread_den_evenly():
+    counts = np.zeros(65, dtype=np.int64)
+    for _, den, _, _ in euler_draws(verify.DEFAULT_SEED):
+        counts += np.bincount(den.ravel(), minlength=65)
+    assert counts[:2].sum() == 0
+    share = counts[2:] / counts.sum()
+    assert (np.abs(share * 63 - 1) <= 0.1).all()
+
+
+def integer_ranges_oracle(n, den, i, j):
+    """The int64 floor-divides that the float floor pass replaced."""
+    return i * n // den + 1, -(-j * n // den) - 1
+
+
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 1, 5])
+def test_euler_ranges_equal_the_int64_floor_divides(seed):
+    for n, den, i, j in euler_draws(seed):
+        got = verify._integer_ranges(n[:, None], den, i, j)
+        want = integer_ranges_oracle(n[:, None], den, i, j)
+        for x, y in zip(got, want):
+            assert np.array_equal(x, y)
+
+
+def test_euler_ranges_at_the_range_end():
+    ends = np.array([0, 1, 63, 64], dtype=np.int64)
+    i, j = (x.ravel() for x in np.meshgrid(ends, ends))
+    n, den = np.full_like(i, 10_000), np.full_like(i, 64)
+    lo, hi = verify._integer_ranges(n, den, i, j)
+    want_lo, want_hi = integer_ranges_oracle(n, den, i, j)
+    assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
 
 
 def euler_lemma_scalar(seed):
