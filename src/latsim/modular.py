@@ -2,17 +2,21 @@
 
 j_invariant first reduces its input into the standard fundamental domain,
 which pins |q| = exp(-2*pi*Im tau) <= exp(-pi*sqrt(3)) ~ 0.00433. There
-one loop over q^n, n <= J_TERMS, builds the Eisenstein series E4 and the
-discriminant from its product, and j is their quotient:
+Horner's rule sums the Eisenstein series E4 over its first J_TERMS terms,
+the discriminant is q times the 24th power of Euler's pentagonal series
+for prod (1 - q^n) (eta^24 = q * P^24), cut after q^15, and j is their
+quotient:
 
     j = E4^3 / Delta,   E4 = 1 + 240 * sum sigma_3(n) q^n,
-    Delta = q * prod (1 - q^n)^24.
+    Delta = q * P^24,   P = prod (1 - q^n)
+                          = 1 - q - q^2 + q^5 + q^7 - q^12 - q^15 + O(q^22).
 
 No step subtracts nearly equal numbers, so j keeps its relative accuracy up
 to Im tau = MAX_IM. est_error bounds |j - j(tau)| at the double tau given:
-the truncation tails of both series, the rounding of the nome, of the E4
-sum, of the product, of the cube and of the quotient, and the rounding of
-each -1/tau step of the reduction, carried to j through
+the truncation tails of both series, the rounding of the nome, of the
+Horner steps, of the pentagonal series and its power, of the cube and of
+the quotient, and the rounding of each -1/tau step of the reduction,
+carried to j through
 |dj/dtau| = 2*pi*|E4|^2*|E6|/|Delta| with |E6| <= E6_BOUND. The bound is
 first order in the unit roundoff.
 
@@ -43,12 +47,13 @@ from .classes import TauQuadruple
 MAX_IM = 100.0          # e^(2*pi*Im) overflows doubles near Im ~ 115
 MAX_REDUCE_STEPS = 10_000
 ZETA3 = 1.2020569031595943
-# Terms of both series: the fewest that give the doubles of 30 terms. With
-# 15 the E4 tail is below 2e-32 (|q|^16 < 1.6e-38), and every class of
-# height <= 30, 20,000 random points of the reduced domain and the 405
-# points of the modular verify suite match 30 terms bit for bit; 14 terms
-# differ at rho, where j ~ 3e-44 (tests/test_modular.py checks both).
-J_TERMS = 15
+# Terms of E4's Horner sum: the fewest that give the doubles of 40 terms.
+# With 10 the E4 tail is below 4.1e-21 (|q|^11 < 1.03e-26), and every class
+# of height <= 30, 50,000 random points of the strip and the 405 points of
+# the modular verify suite match 40 terms bit for bit; 9 terms differ at
+# the class 1/2 + i*sqrt(7/9) (tests/test_modular.py checks both). The
+# pentagonal series stops at q^15: its next term, q^22, is below 1.1e-52.
+J_TERMS = 10
 U = 2.0 ** -53          # unit roundoff of a double
 Q_MAX = 0.00434         # |q| on the reduced domain, exp(-pi*sqrt(3)) rounded up
 MIN_IM = -math.log(Q_MAX) / (2 * math.pi)   # Im tau where |q| = Q_MAX: 0.86578
@@ -83,18 +88,22 @@ def reduce_to_fundamental_domain(tau: complex) -> tuple[complex, float]:
     at most INVERSION_ROUNDING*|tau|, which the exact map onward scales by
     Im(reduced)/Im(tau); so the reduced point is off by at most
     INVERSION_ROUNDING * Im(reduced) * sum.
+
+    An inversion leaves |tau| > 1 exactly, so a point that needs no
+    translation right after one and still reads |tau| < 1 lies on the unit
+    arc within rounding; it is returned, as inverting it again would only
+    map it back across the arc, round after round.
     """
     if tau.imag <= 0:
         raise ValueError("tau must lie in the open upper half-plane")
     drift = 0.0
-    for _ in range(MAX_REDUCE_STEPS):
+    for step in range(MAX_REDUCE_STEPS):
         n = round(tau.real)
         tau = complex(tau.real - n, tau.imag)
-        if abs(tau) < 1.0:
-            drift += abs(tau) / tau.imag
-            tau = -1.0 / tau
-        else:
+        if abs(tau) >= 1.0 or (step and n == 0):
             return tau, drift
+        drift += abs(tau) / tau.imag
+        tau = -1.0 / tau
     raise ArithmeticError("fundamental-domain reduction did not converge")
 
 
@@ -126,18 +135,22 @@ def _geometric_tail(r: float, N: int, power: int) -> float:
 
 
 # Error bounds at |q| <= Q_MAX, first order in U. E4: the tail past
-# J_TERMS (sigma_3(n) <= zeta(3) n^3); each term c*q^n off by n products and
-# one rounding, each addition by U times a partial sum, and every partial
-# sum below 1 + sum c*Q_MAX^n.
+# J_TERMS (sigma_3(n) <= zeta(3) n^3); the Horner step k, (e4 + c_k) * q,
+# rounds once in its real sum and once in its product, by U + MUL_ROUNDING
+# relative to sum_{n >= k} c_n q^(n-k+1), which the steps after it scale by
+# q^(k-1) to below sum c_n Q_MAX^n; the last sum 1 + e4 rounds by U.
 _E4_ERROR = (240 * ZETA3 * _geometric_tail(Q_MAX, J_TERMS, 3)
-             + J_TERMS * (MUL_ROUNDING + 2 * U)
+             + (J_TERMS * (MUL_ROUNDING + U) + U)
              * (1.0 + sum(c * Q_MAX ** n for n, c in enumerate(_E4_COEFFS, 1))))
-# Delta = q * P^24, relative: the tail 24 * sum_{n > J} |log(1 - q^n)|; in P
-# each 1 - q^n off by U (its q^n adds below one product) and J_TERMS
-# products, all taken 24 times by the power, whose 23 products and the one
-# by q add one more product each time
-_DELTA_ERROR = 24 * (_geometric_tail(Q_MAX, J_TERMS, 0) / (1.0 - Q_MAX)
-                     + J_TERMS * U + (J_TERMS + 2) * MUL_ROUNDING)
+# Delta = q * P^24, relative. With P = 1 - x, |P| >= 1 - sum Q_MAX^n =
+# (1 - 2*Q_MAX) / (1 - Q_MAX). Over |P|: the pentagonal tail, below
+# |q|^22 / (1 - |q|), and the rounding of x, whose terms sum below
+# Q_MAX / (1 - Q_MAX) and each pass at most 19 roundings of the nested
+# products and sums (the q^15 term's; a sum rounds by U < MUL_ROUNDING);
+# the last sum 1 - x rounds by U. All of it is taken 24 times by the power,
+# whose 23 products and the one by q add one product each time.
+_DELTA_ERROR = 24 * ((Q_MAX ** 22 + 19 * MUL_ROUNDING * Q_MAX)
+                     / (1.0 - 2 * Q_MAX) + U + MUL_ROUNDING)
 # relative rounding of j: Delta, e4**3 (two products) and the quotient
 # (Smith's method, at most (4 + 2*sqrt(2))U as CPython divides, and one
 # rounding more as numpy does, which multiplies by a rounded reciprocal)
@@ -145,14 +158,19 @@ _J_RELATIVE_ERROR = _DELTA_ERROR + 2 * MUL_ROUNDING + 8 * U
 
 
 def _j_series(q):
-    """(E4, Delta, E4^3 / Delta) at the nome q, from J_TERMS terms of both
-    series; q is a complex or a complex column."""
-    qn = e4 = prod = 1.0 + 0.0j
-    for c in _E4_COEFFS:
-        qn *= q
-        e4 += c * qn
-        prod *= 1.0 - qn
-    delta = q * prod ** 24
+    """(E4, Delta, E4^3 / Delta) at the nome q: E4 by Horner's rule over
+    _E4_COEFFS, Delta = q * P^24 with P = prod (1 - q^n) from Euler's
+    pentagonal series 1 - q - q^2 + q^5 + q^7 - q^12 - q^15; q is a complex
+    or a complex column."""
+    e4 = 0.0
+    for c in reversed(_E4_COEFFS):
+        e4 = (e4 + c) * q
+    e4 += 1.0
+    q2 = q * q
+    q3 = q2 * q
+    p = 1.0 - q * (1.0 + q * (1.0 - q3 * (1.0 + q2 * (1.0 - q3 * q2
+                                                     * (1.0 + q3)))))
+    delta = q * p ** 24
     return e4, delta, e4 ** 3 / delta
 
 

@@ -12,21 +12,55 @@ from latsim.classes import TauQuadruple
 RHO = cmath.exp(1j * math.pi / 3)
 # Classes within 4e-7 of the unit arc (classify_by_j's known defect)
 NEAR_ARC = (TauQuadruple(19, 149, 121, 123), TauQuadruple(27, 166, 184, 189))
-ORACLE_TERMS = 30
+ORACLE_TERMS = 40
 # The 13 classes of class number one and their exact j, the table that the
 # modular verify suite checks j_columns against.
 CM_VALUES = verify.CLASS_NUMBER_ONE_J
 
 
+# the q^n coefficients 240 * sigma_3(n) of E4 for n = 1..ORACLE_TERMS
+E4_COEFFS = tuple(240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+                  for n in range(1, ORACLE_TERMS + 1))
+# Euler's pentagonal theorem: prod (1 - q^n) = sum (-1)^k q^(k(3k-1)/2)
+# over all integers k, whose exponents up to 40 are these, in signs
+# + - - + + - - + + - -
+PENTAGONAL = (0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40)
+
+
 def j_oracle(tau: complex, terms: int = ORACLE_TERMS) -> complex:
-    """j(tau) from the series to q^terms, on the same reduced tau and nome
-    and in the same order of operations as modular.j_invariant."""
+    """j(tau) on the same reduced tau and nome as modular.j_invariant: E4 by
+    Horner's rule over `terms` coefficients, and prod (1 - q^n) from the
+    pentagonal series to q^40, nested as modular._j_series nests it to q^15
+    and from the same powers of q."""
+    tau, _ = modular.reduce_to_fundamental_domain(complex(tau))
+    q = modular._nome(tau)
+    e4 = 0.0
+    for c in reversed(E4_COEFFS[:terms]):
+        e4 = (e4 + c) * q
+    e4 += 1.0
+    q2 = q * q
+    q3 = q2 * q
+    q5 = q3 * q2
+    powers = {1: q, 2: q2, 3: q3, 4: q2 * q2, 5: q5, 7: q5 * q2,
+              9: q5 * q2 * q2}
+    # 1 - q(1 + q(1 - q^3(1 + q^2(1 - q^5(1 + q^3(1 - q^7(...)))))))
+    p = 1.0
+    for k in range(len(PENTAGONAL) - 1, 0, -1):
+        x = powers[PENTAGONAL[k] - PENTAGONAL[k - 1]] * p
+        p = 1.0 - x if k % 2 else 1.0 + x
+    return e4 ** 3 / (q * p ** 24)
+
+
+def j_product_loop(tau: complex) -> complex:
+    """j(tau) from 15 terms of E4 and of prod (1 - q^n), summed and
+    multiplied term by term: an evaluation independent of Horner's rule and
+    of the pentagonal series, on the same reduced tau and nome."""
     tau, _ = modular.reduce_to_fundamental_domain(complex(tau))
     q = modular._nome(tau)
     qn = e4 = prod = 1.0 + 0.0j
-    for n in range(1, terms + 1):
+    for c in E4_COEFFS[:15]:
         qn *= q
-        e4 += 240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0) * qn
+        e4 += c * qn
         prod *= 1.0 - qn
     return e4 ** 3 / (q * prod ** 24)
 
@@ -89,8 +123,22 @@ class TestJInvariant:
             with pytest.raises(ValueError, match="too large after reduction"):
                 modular.j_invariant(tau)
 
-    def test_fixed_expansion_equals_30_terms_bit_for_bit(self):
-        # the evidence for J_TERMS: more terms change no double
+    def test_reduction_stops_on_the_unit_arc(self):
+        # each point's orbit reaches the arc, where -1/tau rounds back to
+        # |tau| < 1; the first came out of a search like TestBoundSearch's,
+        # the second lies on the arc itself
+        for tau in (complex(1.5, 0.5567224093989912),
+                    complex(0.4896715103244776, 0.8719069973205542)):
+            reduced, _ = modular.reduce_to_fundamental_domain(tau)
+            assert abs(reduced.real) <= 0.5 and \
+                abs(abs(reduced) - 1) < 1e-15, tau
+            jn = modular.j_normalized(tau)
+            assert abs(jn.value.imag) <= jn.est_error, tau
+            assert 0 < jn.value.real < 1, tau
+
+    def test_fixed_expansion_equals_40_terms_bit_for_bit(self):
+        # the evidence for J_TERMS: more terms of E4, and the pentagonal
+        # series to q^40, change no double
         taus = [modular.tau_of_quadruple(q) for q in
                 census.enumerate_classes(ClassSetId.ALL, 20)]
         taus += [modular.tau_of_quadruple(q) for q in NEAR_ARC]
@@ -101,15 +149,27 @@ class TestJInvariant:
             assert (got.real.hex(), got.imag.hex()) == \
                 (want.real.hex(), want.imag.hex()), tau
 
-    def test_one_term_fewer_differs_at_rho(self):
+    def test_one_term_fewer_differs_at_a_class_point(self):
         # the evidence that J_TERMS is the fewest: one term less changes j
-        # at the hexagonal class, where j(rho) ~ 3e-44
-        tau = modular.tau_of_quadruple(TauQuadruple(1, 2, 3, 4))
+        # at the class 1/2 + i sqrt(7/9), of height <= 20, near rho
+        tau = modular.tau_of_quadruple(TauQuadruple(1, 2, 7, 9))
         want = j_oracle(tau)
         assert modular.j_invariant(tau).value.real.hex() == want.real.hex()
         got = j_oracle(tau, modular.J_TERMS - 1)
         assert (got.real.hex(), got.imag.hex()) != \
             (want.real.hex(), want.imag.hex())
+
+    def test_within_est_error_of_the_product_loop_at_height_30(self):
+        # a second oracle in another order of operations: j moves by less
+        # than est_error, and no classify_by_j verdict changes
+        for q in list(census.enumerate_classes(ClassSetId.ALL, 30)) + \
+                list(NEAR_ARC):
+            tau = modular.tau_of_quadruple(q)
+            jv = modular.j_invariant(tau)
+            want = j_product_loop(tau)
+            assert abs(jv.value - want) <= jv.est_error, q
+            assert modular.classify_by_j(q) == \
+                modular._wr_verdict(want / 1728.0), q
 
 
 def class_taus(height: int) -> list[complex]:
@@ -160,6 +220,61 @@ class TestErrorBound:
                 assert err <= jv.est_error, (name, tau)
                 assert jv.est_error <= 1e-11 * max(1.0, abs(jv.value)), \
                     (name, tau)
+
+
+def scalar_path(taus):
+    return [(jv.value, jv.est_error) for jv in map(modular.j_invariant, taus)]
+
+
+def column_path(taus):
+    value, error = modular.j_columns(np.array(taus))
+    return zip(value.tolist(), error.tolist())
+
+
+STRIP = ((-0.5, 0.5), (modular.MIN_IM, modular.MAX_IM))
+# per search: the ranges of Re tau and Im tau, the most points per example
+# and the path that gives their (j, est_error). Below Im tau = sqrt(3)/2 the
+# reduction inverts at least once, and Im(g tau) <= max(Im tau, 1/Im tau)
+# for g in SL2(Z) leaves the reduced point at Im <= MAX_IM.
+SEARCHES = {
+    "scalar in the strip": (*STRIP, 1, scalar_path),
+    "scalar through the reduction": ((-50.0, 50.0), (1 / modular.MAX_IM, 0.86),
+                                     1, scalar_path),
+    "columns in the strip": (*STRIP, 8, column_path),
+}
+
+
+class TestBoundSearch:
+    """hypothesis steers a search toward the worst
+    |j - 1728 * mpmath.kleinj| / est_error; the bound holds where the
+    ratio stays at most 1. Derandomized, with no example database, so every
+    run draws the same examples."""
+
+    @pytest.mark.parametrize("name", list(SEARCHES))
+    def test_worst_ratio_to_mpmath_is_at_most_one(self, name):
+        hypothesis = pytest.importorskip("hypothesis")
+        mpmath = pytest.importorskip("mpmath")
+        st = hypothesis.strategies
+        re_span, im_span, size, evaluate = SEARCHES[name]
+        points = st.lists(st.builds(complex, st.floats(*re_span),
+                                    st.floats(*im_span)),
+                          min_size=1, max_size=size)
+
+        @hypothesis.settings(derandomize=True, database=None,
+                             max_examples=600, deadline=None)
+        @hypothesis.given(points)
+        def search(taus):
+            ratio = 0.0
+            with mpmath.workdps(40):
+                for tau, (value, error) in zip(taus, evaluate(taus)):
+                    want = 1728 * mpmath.kleinj(mpmath.mpc(tau.real,
+                                                           tau.imag))
+                    ratio = max(ratio,
+                                float(abs(mpmath.mpc(value) - want)) / error)
+            hypothesis.target(ratio)
+            assert ratio <= 1.0, taus
+
+        search()
 
 
 class TestSymmetries:

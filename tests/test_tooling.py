@@ -20,26 +20,56 @@ def test_source_holds_no_assert_statement():
     assert found == []
 
 
+def imported_names(source: str, filename: str = "<source>"):
+    """(line, names) of each import, and of each attribute read, in source;
+    an import lists every module it names, an attribute its dotted name."""
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+            names.append(node.module or "")
+        elif isinstance(node, ast.Attribute):
+            names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
+        else:
+            continue
+        yield node.lineno, names
+
+
+def source_lines_naming(match) -> list[str]:
+    """path:line of every import or attribute in src/latsim/ with a name
+    for which match is true."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    return [f"{path.name}:{line}"
+            for path in modules
+            for line, names in imported_names(path.read_text(), str(path))
+            if any(map(match, names))]
+
+
 def test_source_never_imports_numpy_random():
     # importing numpy.random adds about 6.5 MB to a run's peak RSS. The
     # static twin of test_verify_suites_leave_numpy_random_unloaded: it
     # refuses every import of numpy.random and every attribute np.random,
     # which numpy imports on first access
-    modules = sorted(SRC.glob("*.py"))
-    assert modules
-    found = []
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-                names.append(node.module or "")
-            elif isinstance(node, ast.Attribute):
-                names = [f"{getattr(node.value, 'id', '')}.{node.attr}"]
-            else:
-                continue
-            if any(name in ("numpy.random", "np.random")
-                   or name.startswith("numpy.random.") for name in names):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    assert source_lines_naming(
+        lambda name: name in ("numpy.random", "np.random")
+        or name.startswith("numpy.random.")) == []
+
+
+def is_test_only(name: str) -> bool:
+    """True for a name in mpmath or hypothesis, which only the tests use."""
+    return name.split(".")[0] in ("mpmath", "hypothesis")
+
+
+def test_source_never_imports_mpmath_or_hypothesis():
+    # the tests check j against mpmath and search with hypothesis; latsim
+    # itself runs without either
+    assert [names for source in ("import mpmath", "import numpy, mpmath.ctx",
+                                 "from hypothesis import given, target",
+                                 "import math", "from . import modular")
+            for _, names in imported_names(source)
+            if any(map(is_test_only, names))] == \
+        [["mpmath"], ["numpy", "mpmath.ctx"],
+         ["hypothesis.given", "hypothesis.target", "hypothesis"]]
+    assert source_lines_naming(is_test_only) == []
