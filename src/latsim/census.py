@@ -6,6 +6,12 @@ Three families:
 - Well-rounded classes (pairs (a, b), counted by b <= T, plus the square
   lattice class (0, 1))
 
+_class_blocks is the one source of class rows: int64 column blocks
+(a, b, c, d, height) in enumerate order, with height max(b, c, d) for a
+quadruple and b for a well-rounded pair. enumerate_classes builds its
+objects from them; the CLI's enumerate and the verify oracles read the
+columns.
+
 count_bruteforce enumerates; count_fast reads N3 off Phi(T) and N1, N2 off
 one Farey-pair count (one sort of the pairs' a/b and a two-run merge, in
 O(T^2 log T)), and must agree with it everywhere both run. Main terms:
@@ -14,12 +20,11 @@ O(T^2 log T)), and must agree with it everywhere both run. Main terms:
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import IO, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -28,8 +33,9 @@ from .arith import SieveTables, build_sieve
 from .classes import TauQuadruple, WrPair
 
 BRUTEFORCE_LIMIT = 60
-# enumerate_classes converts columns to ints this many at a time: a block
-# holds up to ~0.3 T^2 classes, 1.2M for (0, 1) at T = 2000
+# _class_blocks yields at most this many rows per block, so a stream holds
+# no more as Python ints: one pair's columns hold up to ~0.3 T^2 classes,
+# 1.2M for (0, 1) at T = 2000
 _LIST_SLICE = 1 << 14
 
 # Largest T at which count_fast is exact for the quadruple sets, checked in
@@ -108,21 +114,37 @@ def _coprime_pairs(T: int, tables: SieveTables
     return a, np.repeat(rows, counts)
 
 
-def _class_blocks(set_id: ClassSetId, T: int
-                  ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield (a, b, c, d) for each pair (a, b) of _coprime_pairs(T), with c, d
-    the int64 columns of its quadruples of height <= T in the set all or
-    semistable in (d, c) order: the entries of _coprime_mask(T, T + 1),
-    cleared at c = 0 and d = 0 (and above c = d if semistable), with
-    c >= c_lower(a, b, d), selected by one mask. One sieve to T serves all.
+def _class_blocks(set_id: ClassSetId, T: int) -> Iterator[tuple]:
+    """Yield every class of height <= T in set_id, in the order of
+    enumerate_classes, as blocks (a, b, c, d, height) of int64 columns of at
+    most _LIST_SLICE rows. One sieve to T serves all.
 
-    So every quadruple is valid, and the check of TauQuadruple never raises
-    on one: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
+    The well-rounded set takes the pairs of _coprime_pairs(T), starting
+    with (0, 1), as the columns (a, b, b^2 - a^2, b^2) with height b. The
+    quadruple sets take one pair (a, b) at a time, as two ints, with the
+    columns c, d of its quadruples in (d, c) order and height max(b, c, d):
+    the entries of _coprime_mask(T, T + 1), cleared at c = 0 and d = 0 (and
+    above c = d if semistable), with c >= c_lower(a, b, d), selected by one
+    mask.
+
+    So every row is valid, and the checks of TauQuadruple and WrPair never
+    raise on one: gcd(a, b) = 1 and 0 <= 2a <= b because (a, b) comes from
     _coprime_pairs; gcd(c, d) = 1 and c, d >= 1 because (d, c) is marked in
     the table; and c * b^2 >= d * (b^2 - a^2) because c >= c_lower(a, b, d).
     """
+    if not isinstance(set_id, ClassSetId):
+        raise ValueError(f"unknown class set {set_id!r}")
+    if T < 1:
+        raise ValueError("T must be >= 1")
     tables = build_sieve(T)
     a_arr, b_arr = _coprime_pairs(T, tables)
+    if set_id is ClassSetId.WELL_ROUNDED:
+        for i in range(0, a_arr.size, _LIST_SLICE):
+            a = a_arr[i:i + _LIST_SLICE].astype(np.int64)
+            b = b_arr[i:i + _LIST_SLICE].astype(np.int64)
+            bsq = b * b
+            yield a, b, bsq - a * a, bsq, b
+        return
     marked = _coprime_mask(T, T + 1, tables)
     marked[0] = marked[:, 0] = False
     if set_id is ClassSetId.SEMISTABLE:
@@ -130,31 +152,24 @@ def _class_blocks(set_id: ClassSetId, T: int
     cs = np.arange(T + 1)
     for a, b in zip(a_arr.tolist(), b_arr.tolist()):
         d, c = np.nonzero(marked & (cs >= c_lower(a, b, cs[:, None])))
-        yield a, b, c, d
+        height = np.maximum(np.maximum(c, d), b)
+        for i in range(0, c.size, _LIST_SLICE):
+            j = i + _LIST_SLICE
+            yield a, b, c[i:j], d[i:j], height[i:j]
 
 
 def enumerate_classes(set_id: ClassSetId, T: int
                       ) -> Iterator[Union[TauQuadruple, WrPair]]:
-    """Yield every class of height <= T exactly once.
-
-    Quadruple sets stream lexicographically by (b, a, d, c), each built by
-    the checked TauQuadruple from the columns of _class_blocks, which are
-    valid by construction; the well-rounded set streams pairs by (b, a),
-    starting with the extra class (0, 1).
-    """
-    if not isinstance(set_id, ClassSetId):
-        raise ValueError(f"unknown class set {set_id!r}")
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if set_id is ClassSetId.WELL_ROUNDED:
-        a_arr, b_arr = _coprime_pairs(T, build_sieve(T))
-        yield from map(WrPair, a_arr.tolist(), b_arr.tolist())
-        return
-    for a, b, c, d in _class_blocks(set_id, T):
-        for i in range(0, c.size, _LIST_SLICE):
-            yield from map(TauQuadruple, repeat(a), repeat(b),
-                           c[i:i + _LIST_SLICE].tolist(),
-                           d[i:i + _LIST_SLICE].tolist())
+    """Yield every class of height <= T exactly once, built from the blocks
+    of _class_blocks: quadruple sets lexicographically by (b, a, d, c), as
+    TauQuadruple; the well-rounded set by (b, a), starting with the extra
+    class (0, 1), as WrPair."""
+    for a, b, c, d, _ in _class_blocks(set_id, T):
+        if set_id is ClassSetId.WELL_ROUNDED:
+            yield from map(WrPair, a.tolist(), b.tolist())
+        else:
+            yield from map(TauQuadruple, repeat(a), repeat(b), c.tolist(),
+                           d.tolist())
 
 
 def count_bruteforce(set_id: ClassSetId, T: int) -> int:
@@ -271,22 +286,6 @@ def census_report(Ts: Sequence[int]) -> list[CountReport]:
                          f"{MAX_FAST_HEIGHT}")
     tables = build_sieve(max(Ts))
     return [_count_row(T, tables) for T in Ts]
-
-
-CSV_HEADER = ["T", "n1", "n2", "n3", "main1", "main2", "main3",
-              "dev1", "dev2", "dev3"]
-
-
-def write_census_csv(reports: Sequence[CountReport], stream: IO[str]) -> None:
-    """CSV with header T,n1,n2,n3,main1,main2,main3,dev1,dev2,dev3."""
-    writer = csv.writer(stream)
-    writer.writerow(CSV_HEADER)
-    for r in reports:
-        writer.writerow([
-            r.T, r.n1, r.n2, r.n3,
-            f"{r.main1:.12g}", f"{r.main2:.12g}", f"{r.main3:.12g}",
-            f"{r.rel_dev1:.12g}", f"{r.rel_dev2:.12g}", f"{r.rel_dev3:.12g}",
-        ])
 
 
 def haar_volumes() -> tuple[float, float, float]:

@@ -133,8 +133,3 @@ def weil_height_ceiling(q: TauQuadruple) -> float:
     exactly, 4 C' <= 5 m^3, as a <= b/2 <= m/2 and b, c, d <= m."""
     return math.sqrt(5) / 2 * max_height(q) ** 1.5
 
-
-def pair_height(p: WrPair) -> int:
-    """Height of a WR class under the pair convention: max{|a|, |b|} = b."""
-    return p.b
-

@@ -11,14 +11,24 @@ out of memory (MemoryError).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from . import census, classes, lattice, modular, verify
 from .census import ClassSetId
 
 SET_IDS = {s.value: s for s in ClassSetId}
+# one line per class row (a, b, c, d, kind, height); jsonl as json.dumps
+# writes the record {"a": a, ..., "height": height}
+_ROW_FORMATS = {
+    "jsonl": '{{"a": {}, "b": {}, "c": {}, "d": {}, "kind": "{}", '
+             '"height": {}}}\n',
+    "csv": "{},{},{},{},{},{}\n",
+    "plain": "({},{},{},{}) {} height={}\n",
+}
+_KIND_NAMES = np.array([str(kind) for kind in classes.KINDS])
 
 
 def _real(x: float) -> str:
@@ -62,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream classes of height <= T")
     p.add_argument("--set", choices=SET_IDS, required=True)
     p.add_argument("--max-height", type=int, required=True, metavar="T")
-    p.add_argument("--format", choices=("jsonl", "csv", "plain"),
-                   default="jsonl")
+    p.add_argument("--format", choices=_ROW_FORMATS, default="jsonl")
 
     p = sub.add_parser("reduce", help="canonical tau and predicates of a basis")
     p.add_argument("--basis", type=_parse_basis, required=True,
@@ -95,27 +104,15 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _class_record(item) -> dict:
-    if isinstance(item, classes.WrPair):
-        q = classes.wr_pair_to_quadruple(item)
-        height = classes.pair_height(item)
-    else:
-        q = item
-        height = classes.max_height(q)
-    return {"a": q.a, "b": q.b, "c": q.c, "d": q.d,
-            "kind": str(classes.classify(q)), "height": height}
-
-
 def _cmd_enumerate(args) -> int:
-    set_id = SET_IDS[args.set]
-    for item in census.enumerate_classes(set_id, args.max_height):
-        rec = _class_record(item)
-        if args.format == "jsonl":
-            print(json.dumps(rec))
-        elif args.format == "csv":
-            print("{a},{b},{c},{d},{kind},{height}".format(**rec))
-        else:
-            print("({a},{b},{c},{d}) {kind} height={height}".format(**rec))
+    line = _ROW_FORMATS[args.format].format
+    for a, b, c, d, height in census._class_blocks(SET_IDS[args.set],
+                                                   args.max_height):
+        kind = _KIND_NAMES[classes.kind_entries(a, b, c, d)]
+        a, b = (np.broadcast_to(x, c.shape) for x in (a, b))
+        sys.stdout.write("".join(map(line, a.tolist(), b.tolist(),
+                                     c.tolist(), d.tolist(), kind.tolist(),
+                                     height.tolist())))
     return 0
 
 

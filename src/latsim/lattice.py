@@ -382,20 +382,6 @@ def reduce_gram(form: GramForm) -> tuple[GramForm, tuple[int, int, int, int]]:
     return GramForm._of_reduction(r), r.u
 
 
-def gauss_reduce(lattice: PlanarLattice) -> tuple[PlanarLattice, Fraction, Fraction]:
-    """Minimal basis of a lattice with its exact squared successive minima.
-
-    The returned basis (x, y) satisfies |x|^2 = lambda1^2, |y|^2 = lambda2^2,
-    and 0 <= <x, y> <= |x|^2 / 2 (angle in [pi/3, pi/2]).
-    """
-    form = gram(lattice)
-    u11, u21, u12, u22 = form._reduction.u
-    v1, v2 = lattice.v1, lattice.v2
-    w1 = (u11 * v1[0] + u21 * v2[0], u11 * v1[1] + u21 * v2[1])
-    w2 = (u12 * v1[0] + u22 * v2[0], u12 * v1[1] + u22 * v2[1])
-    return PlanarLattice(w1, w2), *successive_minima_sq(form)
-
-
 GramLike = Union[PlanarLattice, GramForm]
 
 
@@ -457,12 +443,6 @@ def class_form_columns(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     big_a, big_b, big_c = form
     return (big_a, big_b, big_c,
             (0 <= big_b) & (2 * big_b <= big_a) & (big_a <= big_c))
-
-
-def successive_minima_sq(obj: GramLike) -> tuple[Fraction, Fraction]:
-    """Exact (lambda1^2, lambda2^2)."""
-    r = _as_gram(obj)._reduction
-    return Fraction(r.a * r.num, r.den), Fraction(r.c * r.num, r.den)
 
 
 def is_wr_reduced(a, b, c):

@@ -4,12 +4,12 @@ j_invariant first reduces its input into the standard fundamental domain,
 which pins |q| = exp(-2*pi*Im tau) <= exp(-pi*sqrt(3)) ~ 0.00433. There
 Horner's rule sums the Eisenstein series E4 over its first J_TERMS terms,
 the discriminant is q times the 24th power of Euler's pentagonal series
-for prod (1 - q^n) (eta^24 = q * P^24), cut after q^15, and j is their
+for prod (1 - q^n) (eta^24 = q * P^24), cut after q^7, and j is their
 quotient:
 
     j = E4^3 / Delta,   E4 = 1 + 240 * sum sigma_3(n) q^n,
     Delta = q * P^24,   P = prod (1 - q^n)
-                          = 1 - q - q^2 + q^5 + q^7 - q^12 - q^15 + O(q^22).
+                          = 1 - q - q^2 + q^5 + q^7 + O(q^12).
 
 No step subtracts nearly equal numbers, so j keeps its relative accuracy up
 to Im tau = MAX_IM. est_error bounds |j - j(tau)| at the double tau given:
@@ -52,7 +52,8 @@ ZETA3 = 1.2020569031595943
 # of height <= 30, 50,000 random points of the strip and the 405 points of
 # the modular verify suite match 40 terms bit for bit; 9 terms differ at
 # the class 1/2 + i*sqrt(7/9) (tests/test_modular.py checks both). The
-# pentagonal series stops at q^15: its next term, q^22, is below 1.1e-52.
+# pentagonal series stops at q^7: its tail from q^12 on is below 4.6e-29
+# relative to P, and cut after q^5 it changes j at the class (1, 2, 10, 13).
 J_TERMS = 10
 U = 2.0 ** -53          # unit roundoff of a double
 Q_MAX = 0.00434         # |q| on the reduced domain, exp(-pi*sqrt(3)) rounded up
@@ -144,12 +145,12 @@ _E4_ERROR = (240 * ZETA3 * _geometric_tail(Q_MAX, J_TERMS, 3)
              * (1.0 + sum(c * Q_MAX ** n for n, c in enumerate(_E4_COEFFS, 1))))
 # Delta = q * P^24, relative. With P = 1 - x, |P| >= 1 - sum Q_MAX^n =
 # (1 - 2*Q_MAX) / (1 - Q_MAX). Over |P|: the pentagonal tail, below
-# |q|^22 / (1 - |q|), and the rounding of x, whose terms sum below
-# Q_MAX / (1 - Q_MAX) and each pass at most 19 roundings of the nested
-# products and sums (the q^15 term's; a sum rounds by U < MUL_ROUNDING);
+# |q|^12 / (1 - |q|), and the rounding of x, whose terms sum below
+# Q_MAX / (1 - Q_MAX) and each pass at most 9 roundings of the nested
+# products and sums (the q^7 term's; a sum rounds by U < MUL_ROUNDING);
 # the last sum 1 - x rounds by U. All of it is taken 24 times by the power,
 # whose 23 products and the one by q add one product each time.
-_DELTA_ERROR = 24 * ((Q_MAX ** 22 + 19 * MUL_ROUNDING * Q_MAX)
+_DELTA_ERROR = 24 * ((Q_MAX ** 12 + 9 * MUL_ROUNDING * Q_MAX)
                      / (1.0 - 2 * Q_MAX) + U + MUL_ROUNDING)
 # relative rounding of j: Delta, e4**3 (two products) and the quotient
 # (Smith's method, at most (4 + 2*sqrt(2))U as CPython divides, and one
@@ -160,16 +161,15 @@ _J_RELATIVE_ERROR = _DELTA_ERROR + 2 * MUL_ROUNDING + 8 * U
 def _j_series(q):
     """(E4, Delta, E4^3 / Delta) at the nome q: E4 by Horner's rule over
     _E4_COEFFS, Delta = q * P^24 with P = prod (1 - q^n) from Euler's
-    pentagonal series 1 - q - q^2 + q^5 + q^7 - q^12 - q^15; q is a complex
-    or a complex column."""
+    pentagonal series 1 - q - q^2 + q^5 + q^7; q is a complex or a complex
+    column."""
     e4 = 0.0
     for c in reversed(_E4_COEFFS):
         e4 = (e4 + c) * q
     e4 += 1.0
     q2 = q * q
     q3 = q2 * q
-    p = 1.0 - q * (1.0 + q * (1.0 - q3 * (1.0 + q2 * (1.0 - q3 * q2
-                                                     * (1.0 + q3)))))
+    p = 1.0 - q * (1.0 + q * (1.0 - q3 * (1.0 + q2)))
     delta = q * p ** 24
     return e4, delta, e4 ** 3 / delta
 

@@ -33,10 +33,11 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
 - reduction_invariance: canonical tau recovered after 1000 random modular
                 words of length <= 10, tau and the word drawn in integers
 - heights:      Weil-height bounds against their ceilings, height <= 50, and
-                on the WR pairs with b <= 200, in exact integers: with C' the
-                last entry of lattice.tau_gram_entries, 4 C' <= 5 m^3 one
-                census._class_blocks block at a time, and C' = b^4 on the
-                int64 pair columns
+                on the WR pairs with b <= 200, in exact integers, one
+                census._class_blocks block at a time: with C' the last entry
+                of lattice.tau_gram_entries and m the height column,
+                4 C' <= 5 m^3 on the quadruples, and C' = b^4 on the WR
+                blocks' quadruples (a, b, b^2 - a^2, b^2)
 """
 
 from __future__ import annotations
@@ -89,20 +90,16 @@ def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
     """count_bruteforce(set_id, T) for every T <= max_T from one enumeration.
 
     Each class of height <= max_T lands in the bin of its own height, so the
-    running sums of the bins are the counts at every T. The quadruple sets
-    are binned by max(b, c, d) one column block of _class_blocks at a time.
+    running sums of the bins are the counts at every T. The classes are
+    binned by the height column of census._class_blocks, one block at a
+    time.
     """
     if max_T > census.BRUTEFORCE_LIMIT:
         raise ValueError(
             f"brute-force counting capped at T={census.BRUTEFORCE_LIMIT}")
     bins = np.zeros(max_T + 1, dtype=np.int64)
-    if set_id is ClassSetId.WELL_ROUNDED:
-        for p in census.enumerate_classes(set_id, max_T):
-            bins[classes.pair_height(p)] += 1
-    else:
-        for _, b, c, d in census._class_blocks(set_id, max_T):
-            bins += np.bincount(np.maximum(np.maximum(c, d), b),
-                                minlength=max_T + 1)
+    for *_, height in census._class_blocks(set_id, max_T):
+        bins += np.bincount(height, minlength=max_T + 1)
     return list(accumulate(bins.tolist()))
 
 
@@ -324,7 +321,7 @@ def _class_columns(T: int) -> tuple[np.ndarray, ...]:
     """int64 columns a, b, c, d of every class of height <= T, in the order
     of enumerate_classes: the blocks of census._class_blocks end to end."""
     blocks = list(census._class_blocks(ClassSetId.ALL, T))
-    sizes = [c.size for _, _, c, _ in blocks]
+    sizes = [blk[2].size for blk in blocks]
     return (np.repeat(np.array([blk[0] for blk in blocks], dtype=np.int64),
                       sizes),
             np.repeat(np.array([blk[1] for blk in blocks], dtype=np.int64),
@@ -493,8 +490,8 @@ def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check
                          f"(int64 range)")
     checks: list[Check] = []
     bad = None
-    for a, b, c, d in census._class_blocks(ClassSetId.ALL, quadruple_height):
-        m = np.maximum(np.maximum(c, d), b)
+    for a, b, c, d, m in census._class_blocks(ClassSetId.ALL,
+                                              quadruple_height):
         over = np.flatnonzero(4 * lattice.tau_gram_entries(a, b, c, d)[2]
                               > 5 * m ** 3)
         if over.size:
@@ -503,13 +500,15 @@ def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check
     checks.append((f"weil_height_bound <= (sqrt5/2) m^(3/2), height <= "
                    f"{quadruple_height}", bad is None,
                    "exhaustive" if bad is None else f"violated at {bad}"))
-    a, b = (x.astype(np.int64) for x in
-            census._coprime_pairs(wr_bmax, arith.build_sieve(wr_bmax)))
-    bsq = b * b
-    wrong = np.flatnonzero(lattice.tau_gram_entries(a, b, bsq - a * a, bsq)[2]
-                           != bsq * bsq)
-    bad = (classes.WrPair(int(a[wrong[0]]), int(b[wrong[0]])) if wrong.size
-           else None)
+    bad = None
+    for a, b, c, d, _ in census._class_blocks(ClassSetId.WELL_ROUNDED,
+                                              wr_bmax):
+        # C' = b^4 = d^2 on the WR quadruple (a, b, b^2 - a^2, b^2)
+        wrong = np.flatnonzero(lattice.tau_gram_entries(a, b, c, d)[2]
+                               != d * d)
+        if wrong.size:
+            bad = classes.WrPair(int(a[wrong[0]]), int(b[wrong[0]]))
+            break
     checks.append((f"weil_height_bound of the WR quadruple = (WR height "
                    f"bound)^2 for all pairs with b <= {wr_bmax}", bad is None,
                    "exhaustive" if bad is None else f"mismatch at {bad}"))

@@ -45,8 +45,8 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_binned_oracle_equals_bruteforce_at_every_height(monkeypatch):
-    # one enumeration per set: the pair stream for the well-rounded set, one
-    # run of the column builder for each quadruple set
+    # one enumeration per set: one run of the class-block builder for each
+    # set, the well-rounded set included, and no object stream
     streams, blocks = [], []
     enumerate_classes, class_blocks = census.enumerate_classes, \
         census._class_blocks
@@ -63,10 +63,8 @@ def test_binned_oracle_equals_bruteforce_at_every_height(monkeypatch):
     monkeypatch.setattr(census, "_class_blocks", counted_blocks)
     prefixes = {set_id: verify._bruteforce_prefix_counts(set_id, 40)
                 for set_id in census.ClassSetId}
-    WR = census.ClassSetId.WELL_ROUNDED
-    assert streams == [(WR, 40)]
-    assert blocks == [(set_id, 40) for set_id in census.ClassSetId
-                      if set_id is not WR]
+    assert streams == []
+    assert blocks == [(set_id, 40) for set_id in census.ClassSetId]
     for set_id, prefix in prefixes.items():
         assert len(prefix) == 41 and prefix[0] == 0
         for T in [*range(1, 26), 40]:
@@ -479,7 +477,7 @@ def heights_detail_per_object(quadruple_height):
 def test_height_columns_equal_per_object_bounds_bit_for_bit():
     # the integer C' that verify_heights reads, one block at a time, is the
     # square of each per-object bound
-    for a, b, c, d in census._class_blocks(census.ClassSetId.ALL, 50):
+    for a, b, c, d, _ in census._class_blocks(census.ClassSetId.ALL, 50):
         want_bound = np.array([classes.weil_height_bound(
             classes.TauQuadruple(a, b, ci, di))
             for ci, di in zip(c.tolist(), d.tolist())])
@@ -536,7 +534,7 @@ def test_heights_beyond_int64_range_build_no_table(monkeypatch):
 
     monkeypatch.setattr(census, "_class_blocks", no_table)
     monkeypatch.setattr(census, "_coprime_pairs", no_table)
-    monkeypatch.setattr(arith, "build_sieve", no_table)
+    monkeypatch.setattr(census, "build_sieve", no_table)
     for heights in ((lattice.MAX_COLUMN_HEIGHT + 1, 200), (50, 1 << 15)):
         with pytest.raises(ValueError, match="int64"):
             verify.verify_heights(*heights)

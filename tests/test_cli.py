@@ -1,16 +1,47 @@
 import json
+from itertools import islice
 
 import pytest
 
 from latsim import census, classes, lattice, modular, verify
 from latsim.classes import TauQuadruple
-from latsim.cli import main
+from latsim.cli import SET_IDS, main
+
+FORMATS = ("jsonl", "csv", "plain")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def class_record(item) -> dict:
+    """The record of one streamed class, built object by object: the oracle
+    of latsim enumerate's column path. A WrPair prints as its quadruple with
+    the pair height b, a TauQuadruple with its height max(b, c, d)."""
+    if isinstance(item, classes.WrPair):
+        q = classes.wr_pair_to_quadruple(item)
+        height = item.b
+    else:
+        q = item
+        height = classes.max_height(q)
+    return {"a": q.a, "b": q.b, "c": q.c, "d": q.d,
+            "kind": str(classes.classify(q)), "height": height}
+
+
+def record_text(items, fmt: str) -> str:
+    """The text latsim enumerate --format fmt prints for these classes."""
+    lines = []
+    for rec in map(class_record, items):
+        if fmt == "jsonl":
+            lines.append(json.dumps(rec))
+        elif fmt == "csv":
+            lines.append("{a},{b},{c},{d},{kind},{height}".format(**rec))
+        else:
+            lines.append("({a},{b},{c},{d}) {kind} height={height}"
+                         .format(**rec))
+    return "".join(line + "\n" for line in lines)
 
 
 class TestCount:
@@ -82,6 +113,34 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--set", set_name,
                            "--max-height", "2", "--format", fmt)
         assert code == 0 and out.splitlines() == lines
+
+    @pytest.mark.parametrize("set_name", sorted(SET_IDS))
+    def test_equals_per_object_records(self, capsys, set_name):
+        for T in range(1, 13):
+            items = list(census.enumerate_classes(SET_IDS[set_name], T))
+            for fmt in FORMATS:
+                code, out, _ = run(capsys, "enumerate", "--set", set_name,
+                                   "--max-height", str(T), "--format", fmt)
+                assert code == 0 and out == record_text(items, fmt), (T, fmt)
+
+    @pytest.mark.parametrize("set_name", sorted(SET_IDS))
+    def test_head_at_250_equals_per_object_records(self, capsys, monkeypatch,
+                                                   set_name):
+        # the CLI prints the first three blocks of height 250, where the
+        # (0, 1) columns of the set all span two of them; the oracle takes
+        # as many classes off the object stream
+        set_id, class_blocks = SET_IDS[set_name], census._class_blocks
+        n = sum(blk[2].size for blk in islice(class_blocks(set_id, 250), 3))
+        items = list(islice(census.enumerate_classes(set_id, 250), n))
+        monkeypatch.setattr(census, "_class_blocks",
+                            lambda s, T: islice(class_blocks(s, T), 3))
+        for fmt in FORMATS:
+            code, out, _ = run(capsys, "enumerate", "--set", set_name,
+                               "--max-height", "250", "--format", fmt)
+            assert code == 0 and out == record_text(items, fmt), fmt
+        if set_id is census.ClassSetId.ALL:
+            assert n > census._LIST_SLICE
+            assert out.count("(0,1,") > census._LIST_SLICE
 
 
 class TestClassify:

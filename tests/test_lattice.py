@@ -131,25 +131,36 @@ class TestGram:
             GramForm(1, 1, 1)
 
 
+def gauss_reduce(lat: PlanarLattice):
+    """A minimal basis of lat with its squared successive minima, from
+    reduce_gram: lambda1^2 and lambda2^2 are the reduced form's g11 and g22,
+    and its change of basis u maps the basis to a minimal one."""
+    reduced, (u11, u21, u12, u22) = lattice.reduce_gram(lattice.gram(lat))
+    v1, v2 = lat.v1, lat.v2
+    w1 = (u11 * v1[0] + u21 * v2[0], u11 * v1[1] + u21 * v2[1])
+    w2 = (u12 * v1[0] + u22 * v2[0], u12 * v1[1] + u22 * v2[1])
+    return PlanarLattice(w1, w2), reduced.g11, reduced.g22
+
+
 class TestGaussReduce:
     def test_sheared_integer_lattice(self):
-        _, l1, l2 = lattice.gauss_reduce(PlanarLattice((1, 0), (5, 1)))
+        _, l1, l2 = gauss_reduce(PlanarLattice((1, 0), (5, 1)))
         assert (l1, l2) == (1, 1)
 
     def test_scaled_square(self):
-        _, l1, l2 = lattice.gauss_reduce(PlanarLattice((2, 0), (0, 2)))
+        _, l1, l2 = gauss_reduce(PlanarLattice((2, 0), (0, 2)))
         assert (l1, l2) == (4, 4)
 
     def test_half_shift(self):
         lat = PlanarLattice((1, 0), (Fraction(1, 2), Fraction(3, 2)))
-        _, l1, l2 = lattice.gauss_reduce(lat)
+        _, l1, l2 = gauss_reduce(lat)
         assert (l1, l2) == brute_force_minima_sq(lattice.gram(lat), box=10)
 
     def test_reduced_basis_contract(self):
         rng = random.Random(23)
         for _ in range(500):
             lat = random_lattice(rng)
-            reduced, l1, l2 = lattice.gauss_reduce(lat)
+            reduced, l1, l2 = gauss_reduce(lat)
             g = lattice.gram(reduced)
             assert (g.g11, g.g22) == (l1, l2)
             assert 0 <= 2 * g.g12 <= g.g11 <= g.g22
@@ -164,7 +175,7 @@ class TestGaussReduce:
         rng = random.Random(29)
         for _ in range(500):
             lat = random_lattice(rng)
-            reduced, l1, l2 = lattice.gauss_reduce(lat)
+            reduced, l1, l2 = gauss_reduce(lat)
             scale = lcm(*(x.denominator
                           for v in (reduced.v1, reduced.v2) for x in v))
             scaled = PlanarLattice(
@@ -433,7 +444,8 @@ class TestIntegerCore:
             assert lattice.is_well_rounded(form) is wr
             assert lattice.is_semistable(form) is ss
             assert lattice.is_stable(form) is stable
-            assert lattice.successive_minima_sq(form) == (l1, l2)
+            minimal, _ = lattice.reduce_gram(form)
+            assert (minimal.g11, minimal.g22) == (l1, l2)
             tau = lattice.canonical_tau(form)
             assert (tau.re, tau.im_sq) == (reduced.g12 / l1,
                                            reduced.det / (l1 * l1))
@@ -457,7 +469,7 @@ class TestIntegerCore:
         lattice.is_well_rounded(form)
         lattice.is_semistable(form)
         lattice.is_stable(form)
-        lattice.successive_minima_sq(form)
+        lattice.reduce_gram(form)
         lattice.reduce_gram(form)
         assert len(calls) == 1
 

@@ -27,11 +27,12 @@ E4_COEFFS = tuple(240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
 PENTAGONAL = (0, 1, 2, 5, 7, 12, 15, 22, 26, 35, 40)
 
 
-def j_oracle(tau: complex, terms: int = ORACLE_TERMS) -> complex:
+def j_oracle(tau: complex, terms: int = ORACLE_TERMS,
+             pentagonal: tuple[int, ...] = PENTAGONAL) -> complex:
     """j(tau) on the same reduced tau and nome as modular.j_invariant: E4 by
     Horner's rule over `terms` coefficients, and prod (1 - q^n) from the
-    pentagonal series to q^40, nested as modular._j_series nests it to q^15
-    and from the same powers of q."""
+    pentagonal series over the exponents `pentagonal` (to q^40), nested as
+    modular._j_series nests it to q^7 and from the same powers of q."""
     tau, _ = modular.reduce_to_fundamental_domain(complex(tau))
     q = modular._nome(tau)
     e4 = 0.0
@@ -45,8 +46,8 @@ def j_oracle(tau: complex, terms: int = ORACLE_TERMS) -> complex:
               9: q5 * q2 * q2}
     # 1 - q(1 + q(1 - q^3(1 + q^2(1 - q^5(1 + q^3(1 - q^7(...)))))))
     p = 1.0
-    for k in range(len(PENTAGONAL) - 1, 0, -1):
-        x = powers[PENTAGONAL[k] - PENTAGONAL[k - 1]] * p
+    for k in range(len(pentagonal) - 1, 0, -1):
+        x = powers[pentagonal[k] - pentagonal[k - 1]] * p
         p = 1.0 - x if k % 2 else 1.0 + x
     return e4 ** 3 / (q * p ** 24)
 
@@ -157,6 +158,20 @@ class TestJInvariant:
         assert modular.j_invariant(tau).value.real.hex() == want.real.hex()
         got = j_oracle(tau, modular.J_TERMS - 1)
         assert (got.real.hex(), got.imag.hex()) != \
+            (want.real.hex(), want.imag.hex())
+
+    def test_pentagonal_cut_after_q5_differs_at_a_class_point(self):
+        # the evidence that the pentagonal series needs its q^7 term: cut
+        # after q^5 it changes j at the class 1/2 + i sqrt(10/13), of height
+        # 13 (and at 142 of the 8,894 classes of height <= 20)
+        tau = modular.tau_of_quadruple(TauQuadruple(1, 2, 10, 13))
+        want = j_oracle(tau)
+        got = modular.j_invariant(tau).value
+        assert (got.real.hex(), got.imag.hex()) == \
+            (want.real.hex(), want.imag.hex())
+        assert PENTAGONAL[:4] == (0, 1, 2, 5)
+        cut = j_oracle(tau, pentagonal=PENTAGONAL[:4])
+        assert (cut.real.hex(), cut.imag.hex()) != \
             (want.real.hex(), want.imag.hex())
 
     def test_within_est_error_of_the_product_loop_at_height_30(self):

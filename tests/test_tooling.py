@@ -73,3 +73,21 @@ def test_source_never_imports_mpmath_or_hypothesis():
         [["mpmath"], ["numpy", "mpmath.ctx"],
          ["hypothesis.given", "hypothesis.target", "hypothesis"]]
     assert source_lines_naming(is_test_only) == []
+
+
+def names_coprime_table(name: str) -> bool:
+    """True for a name that reads census' coprime tables."""
+    return name.rsplit(".", 1)[-1] in ("_coprime_pairs", "_coprime_mask")
+
+
+def test_only_census_names_the_coprime_tables():
+    # the class rows have one source, census._class_blocks: no other module
+    # builds them from the coprime tables, and census itself calls the
+    # tables by their bare names
+    assert [names for source in ("from .census import _coprime_pairs",
+                                 "census._coprime_mask(T, n, tables)",
+                                 "census._class_blocks(set_id, T)")
+            for _, names in imported_names(source)
+            if any(map(names_coprime_table, names))] == \
+        [["census._coprime_pairs", "census"], ["census._coprime_mask"]]
+    assert source_lines_naming(names_coprime_table) == []
