@@ -109,7 +109,6 @@ def _cmd_enumerate(args) -> int:
     for a, b, c, d, height in census._class_blocks(SET_IDS[args.set],
                                                    args.max_height):
         kind = _KIND_NAMES[classes.kind_entries(a, b, c, d)]
-        a, b = (np.broadcast_to(x, c.shape) for x in (a, b))
         sys.stdout.write("".join(map(line, a.tolist(), b.tolist(),
                                      c.tolist(), d.tolist(), kind.tolist(),
                                      height.tolist())))

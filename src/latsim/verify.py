@@ -2,8 +2,11 @@
 
 Each suite runs one fixed configuration; a seed is all it takes from the CLI.
 - counts:       fast counter vs enumeration oracle at every T <= 40 (one
-                enumeration per set, binned by height), golden small counts,
-                N1 - N2 = N3 (Phi(T) - 1) against the totients, T <= 400
+                enumeration per set, binned by height; the fast side read
+                off the n1, n2, n3 of one census_report over T = 1..40, one
+                sieve and one count row per T, and off count_fast at
+                T = 40), golden small counts, N1 - N2 = N3 (Phi(T) - 1)
+                against the totients, T <= 400
 - asymptotics:  main-term constants and convergence of relative deviations
                 along T = 50, 100, 200, 400
 - euler:        totient/divisor lemmas (n <= 10^4; 20 intervals per n: a
@@ -34,7 +37,8 @@ Each suite runs one fixed configuration; a seed is all it takes from the CLI.
                 words of length <= 10, tau and the word drawn in integers
 - heights:      Weil-height bounds against their ceilings, height <= 50, and
                 on the WR pairs with b <= 200, in exact integers, one
-                census._class_blocks block at a time: with C' the last entry
+                census._class_blocks block of int64 columns (a group of
+                pairs for the quadruples) at a time: with C' the last entry
                 of lattice.tau_gram_entries and m the height column,
                 4 C' <= 5 m^3 on the quadruples, and C' = b^4 on the WR
                 blocks' quadruples (a, b, b^2 - a^2, b^2)
@@ -104,19 +108,25 @@ def _bruteforce_prefix_counts(set_id: ClassSetId, max_T: int) -> list[int]:
 
 
 def verify_counts(oracle_max_T: int = 40) -> list[Check]:
+    if oracle_max_T < 1:
+        raise ValueError(f"oracle_max_T must be >= 1, got {oracle_max_T}")
     checks: list[Check] = []
     brute_at = {set_id: _bruteforce_prefix_counts(set_id, oracle_max_T)
                 for set_id in ClassSetId}
+    # the fast side at every T from one sieve and one count row per T, and
+    # count_fast itself at the top height
+    fast_at = [(r.T, set_id, n)
+               for r in census.census_report(range(1, oracle_max_T + 1))
+               for set_id, n in zip(ClassSetId, (r.n1, r.n2, r.n3))]
+    fast_at += [(oracle_max_T, s, census.count_fast(s, oracle_max_T))
+                for s in ClassSetId]
 
     worst = None
-    ok = True
-    for T in range(1, oracle_max_T + 1):
-        for set_id in ClassSetId:
-            fast = census.count_fast(set_id, T)
-            brute = brute_at[set_id][T]
-            if fast != brute:
-                ok = False
-                worst = (set_id.value, T, fast, brute)
+    for T, set_id, fast in fast_at:
+        brute = brute_at[set_id][T]
+        if fast != brute:
+            worst = (set_id.value, T, fast, brute)
+    ok = worst is None
     detail = ("all T in [1,%d], all sets" % oracle_max_T if ok
               else "mismatch set=%s T=%d fast=%d brute=%d" % worst)
     checks.append(("count_fast == count_bruteforce", ok, detail))
@@ -321,13 +331,7 @@ def _class_columns(T: int) -> tuple[np.ndarray, ...]:
     """int64 columns a, b, c, d of every class of height <= T, in the order
     of enumerate_classes: the blocks of census._class_blocks end to end."""
     blocks = list(census._class_blocks(ClassSetId.ALL, T))
-    sizes = [blk[2].size for blk in blocks]
-    return (np.repeat(np.array([blk[0] for blk in blocks], dtype=np.int64),
-                      sizes),
-            np.repeat(np.array([blk[1] for blk in blocks], dtype=np.int64),
-                      sizes),
-            np.concatenate([blk[2] for blk in blocks]),
-            np.concatenate([blk[3] for blk in blocks]))
+    return tuple(np.concatenate([blk[i] for blk in blocks]) for i in range(4))
 
 
 def _mismatch_detail(cols: tuple[np.ndarray, ...], ok: np.ndarray) -> str:
@@ -496,7 +500,7 @@ def verify_heights(quadruple_height: int = 50, wr_bmax: int = 200) -> list[Check
                               > 5 * m ** 3)
         if over.size:
             i = over[-1]
-            bad = classes.TauQuadruple(a, b, int(c[i]), int(d[i]))
+            bad = classes.TauQuadruple(*(int(x[i]) for x in (a, b, c, d)))
     checks.append((f"weil_height_bound <= (sqrt5/2) m^(3/2), height <= "
                    f"{quadruple_height}", bad is None,
                    "exhaustive" if bad is None else f"violated at {bad}"))

@@ -6,6 +6,7 @@ oscillate around the main terms instead of decreasing strictly at the
 prescribed heights (see notes on the asymptotics suite).
 """
 
+import dataclasses
 import importlib.util
 import inspect
 import math
@@ -72,17 +73,38 @@ def test_binned_oracle_equals_bruteforce_at_every_height(monkeypatch):
 
 
 def test_criterion_1_reports_a_single_mismatch(monkeypatch):
+    # the fast side below T = 40 is the count row of each T
+    count_row = census._count_row
+
+    def off_by_one(T, tables):
+        row = count_row(T, tables)
+        return dataclasses.replace(row, n2=row.n2 + 1) if T == 37 else row
+
+    monkeypatch.setattr(census, "_count_row", off_by_one)
+    checks = [c for c in verify.verify_counts(oracle_max_T=40)
+              if c[0] == "count_fast == count_bruteforce"]
+    assert len(checks) == 1 and not checks[0][1], checks
+    assert "set=semistable T=37" in checks[0][2], checks
+
+
+def test_criterion_1_reports_a_count_fast_fault_at_the_top_height(
+        monkeypatch):
     count_fast = census.count_fast
 
     def off_by_one(set_id, T):
         n = count_fast(set_id, T)
-        return n + 1 if (set_id, T) == (census.ClassSetId.SEMISTABLE, 37) else n
+        return n + 1 if (set_id, T) == (census.ClassSetId.ALL, 40) else n
 
     monkeypatch.setattr(census, "count_fast", off_by_one)
     checks = [c for c in verify.verify_counts(oracle_max_T=40)
               if c[0] == "count_fast == count_bruteforce"]
     assert len(checks) == 1 and not checks[0][1], checks
-    assert "set=semistable T=37" in checks[0][2], checks
+    assert "set=all T=40" in checks[0][2], checks
+
+
+def test_criterion_1_refuses_an_empty_oracle_range():
+    with pytest.raises(ValueError, match="oracle_max_T must be >= 1"):
+        verify.verify_counts(oracle_max_T=0)
 
 
 def test_criterion_1_keeps_the_bruteforce_cap():
@@ -479,11 +501,11 @@ def test_height_columns_equal_per_object_bounds_bit_for_bit():
     # square of each per-object bound
     for a, b, c, d, _ in census._class_blocks(census.ClassSetId.ALL, 50):
         want_bound = np.array([classes.weil_height_bound(
-            classes.TauQuadruple(a, b, ci, di))
-            for ci, di in zip(c.tolist(), d.tolist())])
+            classes.TauQuadruple(*row))
+            for row in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())])
         got_bound = np.sqrt(lattice.tau_gram_entries(a, b, c, d)[2])
         assert np.array_equal(got_bound.view(np.int64),
-                              want_bound.view(np.int64)), (a, b)
+                              want_bound.view(np.int64)), (a[0], b[0])
 
 
 def inflated_at_height(height):

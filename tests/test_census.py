@@ -51,6 +51,45 @@ def gcd_stream(set_id: ClassSetId, T: int):
                     yield TauQuadruple(a, b, c, d)
 
 
+def per_pair_blocks(set_id: ClassSetId, T: int):
+    """The class blocks that the grouped build replaced, kept as an oracle:
+    one pass per pair (a, b) of a quadruple set, with a, b as ints and one
+    mask of the table, its rows cut at _LIST_SLICE; the well-rounded
+    blocks as _class_blocks builds them."""
+    tables = arith.build_sieve(T)
+    a_arr, b_arr = census._coprime_pairs(T, tables)
+    if set_id is ClassSetId.WELL_ROUNDED:
+        for i in range(0, a_arr.size, census._LIST_SLICE):
+            a = a_arr[i:i + census._LIST_SLICE].astype(np.int64)
+            b = b_arr[i:i + census._LIST_SLICE].astype(np.int64)
+            yield a, b, b * b - a * a, b * b, b
+        return
+    marked = census._coprime_mask(T, T + 1, tables)
+    marked[0] = marked[:, 0] = False
+    if set_id is ClassSetId.SEMISTABLE:
+        marked = np.tril(marked)
+    cs = np.arange(T + 1)
+    for a, b in zip(a_arr.tolist(), b_arr.tolist()):
+        d, c = np.nonzero(marked & (cs >= census.c_lower(a, b, cs[:, None])))
+        height = np.maximum(np.maximum(c, d), b)
+        for i in range(0, c.size, census._LIST_SLICE):
+            j = i + census._LIST_SLICE
+            yield a, b, c[i:j], d[i:j], height[i:j]
+
+
+def block_rows(blocks, limit: int | None = None) -> list[np.ndarray]:
+    """The rows of a block stream, or its first limit rows, as five int64
+    columns, with a scalar a or b of a block spread over its rows."""
+    cols, n = [], 0
+    for a, b, c, d, height in blocks:
+        cols.append([np.full(c.size, x, dtype=np.int64) if np.ndim(x) == 0
+                     else x for x in (a, b)] + [c, d, height])
+        n += c.size
+        if limit is not None and n >= limit:
+            break
+    return [np.concatenate(col)[:limit] for col in zip(*cols)]
+
+
 def moebius_oracle(semistable: bool, T: int, tables: arith.SieveTables) -> int:
     """The Theta(T^3 log T) counter that count_fast replaced, kept as an oracle.
 
@@ -208,13 +247,46 @@ class TestEnumerate:
         blocks = census._class_blocks(ClassSetId.ALL, T)
         (a0, b0, c0, _, _), (a1, b1, c1, _, _), (a2, b2, _, _, _) = \
             islice(blocks, 3)
-        assert (a0, b0) == (a1, b1) == (0, 1) and (a2, b2) == (1, 2)
+        for a, b, pair in ((a0, b0, (0, 1)), (a1, b1, (0, 1)),
+                           (a2, b2, (1, 2))):
+            assert set(zip(a.tolist(), b.tolist())) == {pair}
         assert c0.size == census._LIST_SLICE and c1.size > 0
         n = c0.size + c1.size + 50
         got = list(islice(census.enumerate_classes(ClassSetId.ALL, T), n))
         want = list(islice(gcd_stream(ClassSetId.ALL, T), n))
         assert got == want
         assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("set_id", list(ClassSetId))
+    def test_grouped_blocks_equal_per_pair_blocks(self, set_id):
+        # k = _LIST_SLICE // (T + 1)^2 pairs per table through T = 89, one
+        # pair from T = 90 on; above T = 60 the first 8 blocks are compared
+        for T in (1, 2, 3, 5, 20, 40, 60, 127, 128, 250):
+            got = list(islice(census._class_blocks(set_id, T),
+                              None if T <= 60 else 8))
+            for block in got:
+                assert len(block) == 5
+                assert all(x.dtype == np.int64 and x.shape == block[2].shape
+                           for x in block), (set_id, T)
+                assert 0 < block[2].size <= census._LIST_SLICE, (set_id, T)
+            rows = block_rows(got)
+            want = block_rows(per_pair_blocks(set_id, T), rows[2].size)
+            for x, y in zip(rows, want):
+                assert np.array_equal(x, y), (set_id, T)
+        if set_id is ClassSetId.ALL:
+            # the (0, 1) pair still spans two blocks at T = 250
+            assert [bool((blk[1] == 1).all()) for blk in got[:3]] == \
+                [True, True, False]
+
+    def test_class_blocks_refuse_at_the_call(self, monkeypatch):
+        def no_sieve(bound):
+            raise AssertionError(f"sieve of bound {bound} built")
+
+        monkeypatch.setattr(census, "build_sieve", no_sieve)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            census._class_blocks(ClassSetId.ALL, 0)
+        with pytest.raises(ValueError, match="unknown class set"):
+            census._class_blocks("all", 5)
 
     def test_first_classes_stay_small(self):
         # the head of a large stream must not hold a whole block as Python
@@ -244,6 +316,12 @@ class TestCounters:
             for set_id in ClassSetId:
                 assert census.count_fast(set_id, T) == \
                     census.count_bruteforce(set_id, T)
+
+    def test_fast_equals_report_rows(self):
+        # verify_counts reads its fast side at every T <= 40 off these rows
+        for r in census.census_report(range(1, 41)):
+            assert [census.count_fast(set_id, r.T) for set_id in ClassSetId] \
+                == [r.n1, r.n2, r.n3], r.T
 
     def test_fast_equals_moebius_oracle(self):
         for T in list(range(1, 101)) + [200, 400]:
