@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Subcommands: count, enumerate, reduce, classify, j, height, verify.
-Exact fractions print as "p/q"; reals print with 12 significant digits, j
-and its error bound and the Weil-height bound and its ceiling with 17, so
-the text parses back to the doubles.
-Exit codes: 0 ok, 1 failed verification, 2 usage error (argparse default) or
-out of memory (MemoryError).
+Subcommands: count, enumerate, classify, j, height, verify.
+classify takes a quadruple (--tau) or a basis (--basis), whose quadruple it
+prints first. j and its error bound and the Weil-height bound and its
+ceiling print with 17 significant digits, so the text parses back to the
+doubles.
+Exit codes: 0 ok, 1 failed verification, 2 usage error (argparse default),
+invalid input (ValueError, ArithmeticError) or out of memory (MemoryError),
+141 (128 + SIGPIPE) when the reader closes standard output early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -29,10 +32,6 @@ _ROW_FORMATS = {
     "plain": "({},{},{},{}) {} height={}\n",
 }
 _KIND_NAMES = np.array([str(kind) for kind in classes.KINDS])
-
-
-def _real(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _parse_quadruple(text: str) -> classes.TauQuadruple:
@@ -74,14 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-height", type=int, required=True, metavar="T")
     p.add_argument("--format", choices=_ROW_FORMATS, default="jsonl")
 
-    p = sub.add_parser("reduce", help="canonical tau and predicates of a basis")
-    p.add_argument("--basis", type=_parse_basis, required=True,
-                   metavar="p1/q1,p2/q2,p3/q3,p4/q4",
-                   help="basis matrix entries, column-major")
-
-    p = sub.add_parser("classify", help="classify a quadruple a,b,c,d")
-    p.add_argument("--tau", type=_parse_quadruple, required=True,
-                   metavar="a,b,c,d")
+    p = sub.add_parser("classify", help="classify a quadruple or a basis")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--tau", type=_parse_quadruple, metavar="a,b,c,d")
+    given.add_argument("--basis", type=_parse_basis,
+                       metavar="p1/q1,p2/q2,p3/q3,p4/q4",
+                       help="basis matrix entries, column-major")
 
     p = sub.add_parser("j", help="j-invariant of a class")
     p.add_argument("--tau", type=_parse_quadruple, required=True,
@@ -115,19 +112,14 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_reduce(args) -> int:
-    # one Gram form, reduced once, answers tau and all three predicates
-    form = lattice.gram(args.basis)
-    tau = lattice.canonical_tau(form)
-    print(f"re={tau.re} im_sq={tau.im_sq} im={_real(tau.im)}")
-    print(f"well_rounded={lattice.is_well_rounded(form)} "
-          f"semistable={lattice.is_semistable(form)} "
-          f"stable={lattice.is_stable(form)}")
-    return 0
-
-
 def _cmd_classify(args) -> int:
     q = args.tau
+    if q is None:
+        # the canonical tau of the basis' Gram form, in lowest terms, is the
+        # class quadruple
+        tau = lattice.canonical_tau(lattice.gram(args.basis))
+        q = classes.TauQuadruple(*tau._ints)
+        print(f"tau={q.a},{q.b},{q.c},{q.d}")
     kind = classes.classify(q)
     line = f"{kind} height_quadruple={classes.max_height(q)}"
     if kind is classes.ClassKind.WELL_ROUNDED:
@@ -161,7 +153,6 @@ def _cmd_verify(args) -> int:
 COMMANDS = {
     "count": _cmd_count,
     "enumerate": _cmd_enumerate,
-    "reduce": _cmd_reduce,
     "classify": _cmd_classify,
     "j": _cmd_j,
     "height": _cmd_height,
@@ -172,10 +163,18 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        # a reader that closed the pipe is found here, not at exit
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter's last flush of what stdout still buffers goes
+        # nowhere instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

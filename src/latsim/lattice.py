@@ -6,10 +6,12 @@ integer form (A, B, C) and the scale num/den, in lowest terms, that takes it
 to the rational form. Their Fraction entries are read-only properties: a
 point's re and im_sq are built on their first read and cached, a form's
 g11, g12 and g22 are built on each read; equality and hash run on the
-integers. Bases (PlanarLattice) keep Fraction entries.
+integers. Bases (PlanarLattice) keep Fraction entries; the rest of the layer
+takes GramForms, and a basis enters it through gram.
 
 Every decision runs on integers. The GramForm constructor scales the form to
-its primitive integer form and Lagrange-reduces it, once per form.
+its primitive integer form and Lagrange-reduces it, once per form, keeping
+_lagrange's (a, b, c, u) as the form's _reduction.
 Successive minima, the canonical fundamental-domain representative and the
 predicates (well-rounded, semi-stable, stable) are read off the reduced
 integer form, and constructors validate by integer cross-multiplication.
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -50,20 +51,6 @@ _setattr = object.__setattr__
 # most 2T^6 in size, and each of those times one more entry (the canonical
 # tau's cross-multiplication against a/b and c/d) at most 2T^7 < 2^63.
 MAX_COLUMN_HEIGHT = 463
-
-
-class _Reduction(NamedTuple):
-    """Lagrange-reduced primitive integer form a x^2 + 2b xy + c y^2 with
-    0 <= 2b <= a <= c, the change of basis u that reaches it (as in
-    reduce_gram), and the factor num/den that scales it to the rational form.
-    """
-
-    a: int
-    b: int
-    c: int
-    u: tuple[int, int, int, int]
-    num: int
-    den: int
 
 
 def _lagrange(a: int, b: int, c: int):
@@ -144,7 +131,9 @@ class GramForm(_Exact):
 
     The form is num/den times the primitive integer form A x^2 + 2B xy +
     C y^2, held as _ints = (A, B, C, num, den) with num/den in lowest
-    terms. Each constructor checks it and Lagrange-reduces (A, B, C), once.
+    terms. Each constructor checks it and Lagrange-reduces (A, B, C), once,
+    into _reduction = _lagrange(A, B, C): the reduced form, which num/den
+    scales as it scales (A, B, C), and the change of basis u that reaches it.
     The entries g11, g12, g22 are Fractions built anew on each read.
     """
 
@@ -158,20 +147,6 @@ class GramForm(_Exact):
                      g12.numerator * (den // d12),
                      g22.numerator * (den // d22), den)
 
-    @classmethod
-    def _of_reduction(cls, r: _Reduction) -> "GramForm":
-        """The reduced form r.num * (r.a, r.b, r.c) / r.den, which is its own
-        reduction (u = 1); raises unless r names a reduced primitive form
-        with its scale in lowest terms."""
-        a, b, c, num, den = r.a, r.b, r.c, r.num, r.den
-        if not (0 <= 2 * b <= a <= c and a * c > b * b and num >= 1
-                and den >= 1 and math.gcd(a, b, c) == 1
-                and math.gcd(num, den) == 1):
-            raise ValueError("not a reduced primitive form")
-        form = _new(cls)
-        form._set((a, b, c, num, den), r._replace(u=(1, 0, 0, 1)))
-        return form
-
     def _reduce(self, a: int, b: int, c: int, den: int) -> None:
         """Check the form (a, b, c)/den, integers with den >= 1, and set its
         primitive integer form (a, b, c)/gcd(a, b, c), its scale and its
@@ -182,11 +157,10 @@ class GramForm(_Exact):
         a, b, c = a // num, b // num, c // num
         g = math.gcd(num, den)
         num, den = num // g, den // g
-        self._set((a, b, c, num, den),
-                  _Reduction(*_lagrange(a, b, c), num, den))
+        self._set((a, b, c, num, den), _lagrange(a, b, c))
 
     def _set(self, ints: tuple[int, int, int, int, int],
-             reduction: _Reduction) -> None:
+             reduction: tuple) -> None:
         _SET_INTS(self, ints)
         _SET_REDUCTION(self, reduction)
 
@@ -378,17 +352,11 @@ def reduce_gram(form: GramForm) -> tuple[GramForm, tuple[int, int, int, int]]:
     det +-1) such that the new basis vectors are integer combinations
     w1 = u11*v1 + u21*v2, w2 = u12*v1 + u22*v2 of the old ones.
     """
-    r = form._reduction
-    return GramForm._of_reduction(r), r.u
-
-
-GramLike = Union[PlanarLattice, GramForm]
-
-
-def _as_gram(obj: GramLike) -> GramForm:
-    if isinstance(obj, PlanarLattice):
-        return gram(obj)
-    return obj
+    a, b, c, u = form._reduction
+    # a reduced primitive form is its own reduction, with u = 1
+    reduced = _new(GramForm)
+    reduced._set((a, b, c) + form._ints[3:], (a, b, c, (1, 0, 0, 1)))
+    return reduced, u
 
 
 def canonical_tau_entries(a, b, c):
@@ -397,14 +365,14 @@ def canonical_tau_entries(a, b, c):
     return b, a, a * c - b * b, a * a
 
 
-def canonical_tau(obj: GramLike) -> CanonicalTau:
+def canonical_tau(form: GramForm) -> CanonicalTau:
     """Fundamental-domain representative of the similarity class.
 
     With a minimal basis (x, y): re = |<x,y>| / |x|^2 and
     im_sq = (|x|^2 |y|^2 - <x,y>^2) / |x|^4, both exact rationals.
     """
     return CanonicalTau.from_integers(
-        *canonical_tau_entries(*_as_gram(obj)._reduction[:3]))
+        *canonical_tau_entries(*form._reduction[:3]))
 
 
 def tau_gram_entries(p, q, r, s):
@@ -457,21 +425,21 @@ def is_semistable_reduced(a, b, c):
     return a * a >= a * c - b * b
 
 
-def is_well_rounded(obj: GramLike) -> bool:
+def is_well_rounded(form: GramForm) -> bool:
     """lambda1 = lambda2, decided on the reduced integer form."""
-    return is_wr_reduced(*_as_gram(obj)._reduction[:3])
+    return is_wr_reduced(*form._reduction[:3])
 
 
-def is_semistable(obj: GramLike) -> bool:
+def is_semistable(form: GramForm) -> bool:
     """lambda1 >= det^(1/2), i.e. lambda1^4 >= det(Gram): A^2 >= AC - B^2
     on the reduced integer form, which has the same determinant up to the
     square of the scale."""
-    return is_semistable_reduced(*_as_gram(obj)._reduction[:3])
+    return is_semistable_reduced(*form._reduction[:3])
 
 
-def is_stable(obj: GramLike) -> bool:
+def is_stable(form: GramForm) -> bool:
     """Strict variant of is_semistable."""
-    a, b, c = _as_gram(obj)._reduction[:3]
+    a, b, c, _ = form._reduction
     return a * a > a * c - b * b
 
 

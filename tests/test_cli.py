@@ -1,11 +1,17 @@
 import json
+import os
+import random
+import subprocess
+import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from latsim import census, classes, lattice, modular, verify
 from latsim.classes import TauQuadruple
 from latsim.cli import SET_IDS, main
+from test_lattice import random_lattice
 
 FORMATS = ("jsonl", "csv", "plain")
 
@@ -142,6 +148,23 @@ class TestEnumerate:
             assert n > census._LIST_SLICE
             assert out.count("(0,1,") > census._LIST_SLICE
 
+    def test_reader_closing_the_pipe_exits_quietly(self):
+        # 129,872 rows overflow the pipe's buffer, so the writes after the
+        # reader has gone fail
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(census.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "latsim.cli", "enumerate", "--set", "all",
+             "--max-height", "40", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert first == b"0,1,1,1,WellRounded,1\n"
+        assert err == b""
+
 
 class TestClassify:
     def test_wr_prints_both_heights(self, capsys):
@@ -155,19 +178,55 @@ class TestClassify:
         assert exc.value.code == 2
 
 
-class TestReduce:
+class TestClassifyBasis:
     def test_square_lattice(self, capsys):
-        code, out, _ = run(capsys, "reduce", "--basis", "1,0,5,1")
-        assert code == 0
-        assert "re=0 im_sq=1" in out
-        assert "well_rounded=True" in out
+        # a negative first entry needs the "=": argparse reads
+        # "--basis -1,0,0,1" as two options
+        for argv in (("--basis", "1,0,5,1"), ("--basis=-1,0,0,1",)):
+            code, out, _ = run(capsys, "classify", *argv)
+            assert code == 0 and out.splitlines() == [
+                "tau=0,1,1,1", "WellRounded height_quadruple=1 height_pair=1"]
 
     def test_fractional_basis(self, capsys):
-        code, out, _ = run(capsys, "reduce", "--basis", "1,0,1/2,3/2")
+        code, out, _ = run(capsys, "classify", "--basis", "1,0,1/2,3/2")
         assert code == 0
-        assert out.splitlines() == [
-            "re=1/2 im_sq=9/4 im=1.5",
-            "well_rounded=False semistable=False stable=False"]
+        assert out.splitlines() == ["tau=1,2,9,4",
+                                    "NotSemiStable height_quadruple=9"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--basis", "1,2,2,4"),
+        ("--basis", "1,0,0"),
+        ("--tau", "1,2,3,4", "--basis", "1,0,0,1"),
+        (),
+    ])
+    def test_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *argv])
+        assert exc.value.code == 2
+
+    def test_equals_the_lattice_layer(self, capsys):
+        # the facts the basis names: its class quadruple is the canonical
+        # tau of its Gram form, and its kind is the form's predicates'
+        rng = random.Random(59)
+        kinds = set()
+        for _ in range(500):
+            basis = random_lattice(rng)
+            form = lattice.gram(basis)
+            tau = lattice.canonical_tau(form)
+            text = ",".join(str(x) for v in (basis.v1, basis.v2) for x in v)
+            code, out, _ = run(capsys, "classify", f"--basis={text}")
+            first, line = out.splitlines()
+            assert code == 0
+            assert first == "tau={},{},{},{}".format(
+                tau.re.numerator, tau.re.denominator,
+                tau.im_sq.numerator, tau.im_sq.denominator), text
+            kind = classes.ClassKind(line.split()[0])
+            assert (kind is classes.ClassKind.WELL_ROUNDED) is \
+                lattice.is_well_rounded(form), text
+            assert (kind is not classes.ClassKind.NOT_SEMISTABLE) is \
+                lattice.is_semistable(form), text
+            kinds.add(kind)
+        assert kinds == set(classes.ClassKind)
 
     def test_one_reduction_per_call(self, capsys, monkeypatch):
         calls = []
@@ -178,8 +237,8 @@ class TestReduce:
             return lagrange(a, b, c)
 
         monkeypatch.setattr(lattice, "_lagrange", counted)
-        code, out, _ = run(capsys, "reduce", "--basis", "1,0,1/2,3/2")
-        assert code == 0 and out.startswith("re=1/2 im_sq=9/4")
+        code, out, _ = run(capsys, "classify", "--basis", "1,0,1/2,3/2")
+        assert code == 0 and out.startswith("tau=1,2,9,4\n")
         assert len(calls) == 1
 
 

@@ -189,7 +189,7 @@ class TestCanonicalTau:
     def test_square_lattice_is_i(self):
         for scale in (1, 3, Fraction(2, 7)):
             lat = PlanarLattice((scale, 0), (0, scale))
-            tau = lattice.canonical_tau(lat)
+            tau = lattice.canonical_tau(lattice.gram(lat))
             assert (tau.re, tau.im_sq) == (0, 1)
 
     def test_hexagonal_is_rho(self):
@@ -217,7 +217,7 @@ class TestCanonicalTau:
         rng = random.Random(31)
         for _ in range(100):
             lat = random_lattice(rng)
-            tau = lattice.canonical_tau(lat)
+            tau = lattice.canonical_tau(lattice.gram(lat))
             scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
             variants = [
                 PlanarLattice((lat.v1[0] * scale, lat.v1[1] * scale),
@@ -226,7 +226,7 @@ class TestCanonicalTau:
                 PlanarLattice((-lat.v1[0], -lat.v1[1]), lat.v2),
             ]
             for v in variants:
-                t2 = lattice.canonical_tau(v)
+                t2 = lattice.canonical_tau(lattice.gram(v))
                 assert (t2.re, t2.im_sq) == (tau.re, tau.im_sq)
 
     def test_membership_enforced(self):
@@ -238,10 +238,10 @@ class TestCanonicalTau:
 
 class TestPredicates:
     def test_square_lattice(self):
-        lat = PlanarLattice((1, 0), (0, 1))
-        assert lattice.is_well_rounded(lat)
-        assert lattice.is_semistable(lat)
-        assert not lattice.is_stable(lat)
+        form = lattice.gram(PlanarLattice((1, 0), (0, 1)))
+        assert lattice.is_well_rounded(form)
+        assert lattice.is_semistable(form)
+        assert not lattice.is_stable(form)
 
     def test_tall_rectangular(self):
         form = lattice.tau_gram(HalfPlanePoint(0, 4))  # tau = 2i
@@ -257,10 +257,10 @@ class TestPredicates:
         rng = random.Random(37)
         seen_wr = 0
         for _ in range(300):
-            lat = random_lattice(rng)
-            if lattice.is_well_rounded(lat):
+            form = lattice.gram(random_lattice(rng))
+            if lattice.is_well_rounded(form):
                 seen_wr += 1
-                assert lattice.is_semistable(lat)
+                assert lattice.is_semistable(form)
         # also exercise guaranteed-WR inputs
         for form in (GramForm(1, 0, 1), GramForm(1, Fraction(1, 2), 1),
                      GramForm(5, 1, 5)):
@@ -390,16 +390,6 @@ class TestFromIntegers:
         assert type(tau) is CanonicalTau
         assert (tau.re, tau.im_sq) == (Fraction(1, 2), Fraction(3, 2))
 
-    def test_reduced_form_of_a_reduction_is_checked(self):
-        r = GramForm(Fraction(7, 3), Fraction(-11, 5), 9)._reduction
-        form = GramForm._of_reduction(r)
-        assert form._reduction == r._replace(u=(1, 0, 0, 1))
-        for bad in (r._replace(b=-r.b), r._replace(a=r.c + 1),
-                    r._replace(a=2 * r.a, b=2 * r.b, c=2 * r.c),
-                    r._replace(num=0), r._replace(den=0)):
-            with pytest.raises(ValueError):
-                GramForm._of_reduction(bad)
-
 
 class TestIntegerCore:
     """The integer reducer, its cache and the integer predicates against the
@@ -420,7 +410,11 @@ class TestIntegerCore:
 
     def test_reduce_gram_equals_fraction_oracle(self):
         for form in self.forms():
-            assert lattice.reduce_gram(form) == fraction_reduce_gram(form)
+            got, want = lattice.reduce_gram(form), fraction_reduce_gram(form)
+            assert got == want
+            # equality skips the cached reduction: the reduced form's must
+            # be the one its own constructor builds, with u = 1
+            assert got[0]._reduction == want[0]._reduction
 
     def test_change_of_basis_reaches_reduced_form(self):
         for form in self.forms():
@@ -609,11 +603,6 @@ class TestIntegerRepresentation:
         assert form == same and hash(form) == hash(same)
         reduced, _ = lattice.reduce_gram(form)
         assert reduced == GramForm(reduced.g11, reduced.g12, reduced.g22)
-        # equality needs the scale in lowest terms, so a reduction must
-        # name it so
-        r = form._reduction
-        with pytest.raises(ValueError):
-            GramForm._of_reduction(r._replace(num=2 * r.num, den=2 * r.den))
         # a multiple of a form is another form
         assert GramForm(2, 1, 2) != GramForm(1, Fraction(1, 2), 1)
 

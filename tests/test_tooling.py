@@ -1,11 +1,15 @@
 """Checks on the source tree itself."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import latsim
+from latsim import cli
 
 SRC = Path(latsim.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
 
 
 def test_source_holds_no_assert_statement():
@@ -91,3 +95,17 @@ def test_only_census_names_the_coprime_tables():
             if any(map(names_coprime_table, names))] == \
         [["census._coprime_pairs", "census"], ["census._coprime_mask"]]
     assert source_lines_naming(names_coprime_table) == []
+
+
+def test_docs_name_the_parser_subcommands():
+    # a subcommand removed from the parser cannot stay in the README's CLI
+    # examples or in the cli module's list
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+    examples = {line.split()[1]
+                for line in block.split("```", 1)[0].splitlines()
+                if line.startswith("latsim ")}
+    listed = re.search(r"^Subcommands: (.*)\.$", cli.__doc__, re.M).group(1)
+    assert examples == set(listed.split(", ")) == set(sub.choices) \
+        == set(cli.COMMANDS)
